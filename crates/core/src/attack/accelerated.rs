@@ -25,6 +25,7 @@ use crate::knowledge::AttackerKnowledge;
 use crate::resilience::{CampaignError, ProbeError};
 use pace_ce::{rows_to_matrix, CeModel, EncodedWorkload, TrainError};
 use pace_tensor::optim::AdamState;
+use pace_tensor::trace::span;
 use pace_tensor::{Graph, Matrix};
 use pace_workload::Query;
 use rand::rngs::StdRng;
@@ -117,7 +118,7 @@ pub fn train_generator_accelerated(
     k: &AttackerKnowledge,
     cfg: &AttackConfig,
 ) -> Result<AttackArtifacts, CampaignError> {
-    let _span = pace_tensor::trace::span("attack::accelerated");
+    let _span = span("attack::accelerated");
     let t0 = Instant::now();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut generator = PoisonGenerator::new(
@@ -168,10 +169,13 @@ pub fn train_generator_accelerated(
             since_ckpt = 0;
         }
         // (1)–(2) join generation and Eq. 8 training.
+        let join_span = span("attack::iter::join");
         let batch = generator.sample_joins(&mut rng, cfg.batch);
         generator.join_loss_step(&batch);
+        drop(join_span);
 
         // (3)–(4) bound generation and masking.
+        let decode_span = span("attack::iter::decode");
         let mut g = Graph::new();
         let bind = generator.params().bind(&mut g);
         let x = generator.forward_bounds(&mut g, &bind, &batch);
@@ -192,6 +196,8 @@ pub fn train_generator_accelerated(
                 .collect();
             (queries, encs)
         };
+        drop(decode_span);
+        let label_span = span("attack::iter::label");
         let mut ln_labels: Vec<f32> = Vec::with_capacity(queries.len());
         for q in &queries {
             ln_labels.push((count(q)?.max(1) as f32).ln());
@@ -201,12 +207,14 @@ pub fn train_generator_accelerated(
         } else {
             straight_through(&mut g, x, &encs)
         };
+        drop(label_span);
 
         // (6) virtual update of the surrogate, mirroring the victim's real
         // K-step incremental update so the hypergradient sees the full
         // deployment effect. (The acceleration over the basic algorithm is
         // the *interleaving* of generator and model updates — Lemma 5.2's
         // O(n₁+n₂) vs O(n₃(n₁+n₂)) — not a shallower lookahead.)
+        let unroll_span = span("attack::iter::unroll");
         let theta0 = surrogate.params().bind(&mut g);
         let theta1 = unroll_virtual_updates(
             &mut g,
@@ -224,10 +232,12 @@ pub fn train_generator_accelerated(
         pace_tensor::analysis::audit_if_enabled(&g, objective, bind.vars(), "attack::accelerated");
         let obj_value = g.value(objective).as_scalar();
         curve.push(obj_value);
+        drop(unroll_span);
 
         // (13)–(15) detector confrontation: reconstruction loss of flagged
         // queries back-propagates into the generator.
         if let Some(det) = &detector {
+            let _detector_span = span("attack::iter::detector");
             let dbind = det.params().bind(&mut g);
             let errors = det.recon_error_graph(&mut g, &dbind, x);
             let flagged: Vec<f32> = g
@@ -277,8 +287,11 @@ pub fn train_generator_accelerated(
         } else {
             generator.set_lr(base_lr);
         }
-        let loss = g.neg(objective);
-        generator.apply_step(&mut g, loss, &bind, "attack::accelerated::hypergradient");
+        {
+            let _hypergrad_span = span("attack::iter::hypergrad");
+            let loss = g.neg(objective);
+            generator.apply_step(&mut g, loss, &bind, "attack::accelerated::hypergradient");
+        }
 
         // (20) periodic real surrogate update.
         if (it + 1).is_multiple_of(cfg.sync_every.max(1)) {

@@ -56,7 +56,7 @@ pub fn use_def(g: &Graph) -> UseDef {
 
 /// Public view of a node's operand list (the tape edges), by index.
 pub fn operands(g: &Graph, v: Var) -> Vec<Var> {
-    op_inputs(g.op(v))
+    op_inputs(g.op(v)).to_vec()
 }
 
 /// Live intervals of every tape value relative to a set of root outputs.

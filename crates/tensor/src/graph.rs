@@ -168,6 +168,20 @@ impl Graph {
         Var(self.nodes.len() - 1)
     }
 
+    /// Every leaf on the tape — inputs, constants, and the masks, seeds and
+    /// zero gradients that differentiation records — in tape order. Asking
+    /// [`Graph::grad`] for all of them marks every node as needed, so the
+    /// call builds the VJP toward every operand: the reference that tests
+    /// hold the demand-driven backward pass against.
+    pub fn leaves(&self) -> Vec<Var> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| matches!(n.op, Op::Leaf))
+            .map(|(i, _)| Var(i))
+            .collect()
+    }
+
     /// The first node whose value contains a NaN or ±Inf, with the producing
     /// op's name — `None` while every value on the tape is finite. Surfaced
     /// by [`crate::analysis::audit`] so non-finite losses are attributable.
@@ -319,7 +333,8 @@ impl Graph {
         self.push(Op::Sqrt(a), v)
     }
 
-    /// Elementwise absolute value (sub-gradient `sign(x)` at 0).
+    /// Elementwise absolute value. Its VJP uses `sign(x)` with `+1` at 0
+    /// (the gradient at 0 routes as if `x > 0`).
     pub fn abs(&mut self, a: Var) -> Var {
         let v = self.nodes[a.0].value.map(f32::abs);
         self.push(Op::Abs(a), v)

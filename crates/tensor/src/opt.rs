@@ -116,7 +116,7 @@ impl PlanNode {
 pub(crate) fn plan_inputs(kind: &PlanKind) -> Vec<Var> {
     match kind {
         PlanKind::Const(_) => Vec::new(),
-        PlanKind::Step { op, .. } => op_inputs(op),
+        PlanKind::Step { op, .. } => op_inputs(op).to_vec(),
         PlanKind::Fused { chain, .. } => chain.inputs(),
     }
 }

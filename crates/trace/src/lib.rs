@@ -540,6 +540,10 @@ impl Histogram {
 pub static MATMUL_FLOPS: Counter = Counter::new("matmul_flops");
 /// Plan steps executed by tape-replay (`pace_tensor::opt`).
 pub static REPLAY_NODE_VISITS: Counter = Counter::new("replay_node_visits");
+/// Nodes appended to eager tapes by reverse-mode differentiation
+/// (`pace_tensor::Graph::grad_seeded`): the VJP pieces, seeds, masks and
+/// zero gradients one backward pass builds.
+pub static GRAD_NODES: Counter = Counter::new("grad_nodes");
 /// Tasks executed by the deterministic pool (`pace_runtime`).
 pub static POOL_TASKS: Counter = Counter::new("pool_tasks");
 /// Probes issued through `ResilientOracle`.
@@ -606,9 +610,10 @@ pub static SERVE_QUEUE_DEPTH: Histogram = Histogram::new("serve_queue_depth");
 pub static SERVE_BATCH_SIZE: Histogram = Histogram::new("serve_batch_size");
 
 /// Every registered counter, in emission order.
-pub static COUNTERS: [&Counter; 19] = [
+pub static COUNTERS: [&Counter; 20] = [
     &MATMUL_FLOPS,
     &REPLAY_NODE_VISITS,
+    &GRAD_NODES,
     &POOL_TASKS,
     &ORACLE_PROBES,
     &ORACLE_RETRIES,

@@ -103,12 +103,13 @@
 //! same recipe as `chaos_campaign`) with `pace_tensor::trace` armed, then
 //! renders the captured trace — a span tree with per-phase totals (gated:
 //! the top-level phases must sum to within 1% of the measured wall time),
-//! counter and histogram snapshots, and a per-op profile of the `K = 4`
-//! hypergradient tape joining the static cost model against measured replay
-//! time. Writes `BENCH_trace.json` at the workspace root and finishes with
-//! a disarmed-overhead gate (a disarmed counter increment must cost about
-//! one relaxed atomic load). With a path argument: parses and renders an
-//! existing trace file, no gates.
+//! counter and histogram snapshots (with a summary line for `grad_nodes`,
+//! the nodes reverse-mode differentiation appended to eager tapes), and a
+//! per-op profile of the `K = 4` hypergradient tape joining the static cost
+//! model against measured replay time. Writes `BENCH_trace.json` at the
+//! workspace root and finishes with a disarmed-overhead gate (a disarmed
+//! counter increment must cost about one relaxed atomic load). With a path
+//! argument: parses and renders an existing trace file, no gates.
 //!
 //! # `race-report` — the concurrency-safety gate
 //!
@@ -1050,6 +1051,12 @@ fn trace_report() -> ExitCode {
         "sum",
         phase_s / wall_s * 100.0
     );
+    let grad_nodes = t
+        .counters
+        .iter()
+        .find(|(name, _)| name == trace::GRAD_NODES.name())
+        .map_or(0, |&(_, n)| n);
+    println!("autograd: grad_seeded appended {grad_nodes} nodes across the demo");
 
     if let Err(e) = write_bench_json(&root.join("BENCH_trace.json"), wall_s, &phases, &t) {
         eprintln!("trace-report: cannot write BENCH_trace.json: {e}");

@@ -1,12 +1,19 @@
 //! Cross-crate property-based tests (proptest): the exact-count engine versus
 //! a brute-force reference, encoder round-trips, generator validity, and
-//! optimizer invariants over randomized inputs.
+//! optimizer invariants over randomized inputs; plus the production tapes'
+//! demand-driven gradients against the all-leaves reference.
 
+use pace_ce::{q_error_loss, rows_to_matrix, CeConfig, CeModel, CeModelType, EncodedWorkload};
+use pace_core::attack::build_hypergradient_tape;
 use pace_data::schema::{table, JoinEdge};
-use pace_data::{Dataset, Schema, Table};
+use pace_data::{build, Dataset, DatasetKind, Scale, Schema, Table};
 use pace_engine::{naive_count, optimize, CardEstimator, Executor};
-use pace_workload::{Predicate, Query, QueryEncoder};
+use pace_tensor::opt::Arena;
+use pace_tensor::{Binding, Graph, Var};
+use pace_workload::{generate_queries, Predicate, Query, QueryEncoder, WorkloadSpec};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A small random chain database `a — b — c` with data driven by proptest.
 fn chain_db(a_vals: Vec<i64>, b_fk: Vec<u8>, b_vals: Vec<i64>, c_fk: Vec<u8>) -> Dataset {
@@ -161,6 +168,176 @@ proptest! {
         for (q, e) in queries.iter().zip(&encs) {
             prop_assert!(q.is_valid(&ds.schema), "invalid query {:?}", q);
             prop_assert!(e.iter().all(|x| x.is_finite()));
+        }
+    }
+}
+
+/// `g.grad(out, wrt)` with every leaf on the tape requested as well, which
+/// marks every node as needed: the backward pass builds the VJP toward every
+/// operand, as an unpruned reverse mode would. Returns the `wrt` entries.
+fn grad_all_leaves(g: &mut Graph, out: Var, wrt: &[Var]) -> Vec<Var> {
+    let mut all = g.leaves();
+    let skip = all.len();
+    all.extend_from_slice(wrt);
+    g.grad(out, &all)[skip..].to_vec()
+}
+
+/// `build_hypergradient_tape` op for op, except that the inner unrolled
+/// gradients and the outer hypergradient all go through [`grad_all_leaves`].
+fn reference_hypergradient_tape(
+    model: &CeModel,
+    data: &EncodedWorkload,
+    (poison, test): (std::ops::Range<usize>, std::ops::Range<usize>),
+    steps: usize,
+    lr: f32,
+) -> (Graph, Vec<Var>, Vec<Var>) {
+    let mut g = Graph::new();
+    let x = g.leaf(rows_to_matrix(&data.enc[poison.clone()]));
+    let theta0 = model.params().bind(&mut g);
+    let mut inputs = vec![x];
+    inputs.extend(theta0.vars().iter().copied());
+    let clip = model.config().update_clip;
+    let mut theta = theta0;
+    for _ in 0..steps {
+        let out = model.forward(&mut g, &theta, x);
+        let loss = q_error_loss(&mut g, out, &data.ln_card[poison.clone()], model.ln_max());
+        let grads = grad_all_leaves(&mut g, loss, theta.vars());
+        let mut sq = g.scalar(0.0);
+        for &gr in &grads {
+            let s = g.mul(gr, gr);
+            let ss = g.sum_all(s);
+            sq = g.add(sq, ss);
+        }
+        let sq = g.add_scalar(sq, 1e-12);
+        let norm = g.sqrt(sq);
+        let clip_node = g.scalar(clip);
+        let ratio = g.div(clip_node, norm);
+        let one = g.scalar(1.0);
+        let scale = g.minimum(ratio, one);
+        let next: Vec<Var> = theta
+            .vars()
+            .iter()
+            .zip(grads)
+            .map(|(&p, gr)| {
+                let (r, c) = g.shape(gr);
+                let sc = g.broadcast_scalar(scale, r, c);
+                let clipped = g.mul(gr, sc);
+                let step = g.mul_scalar(clipped, lr);
+                g.sub(p, step)
+            })
+            .collect();
+        theta = Binding::from_vars(next);
+    }
+    let test_x = g.leaf(rows_to_matrix(&data.enc[test.clone()]));
+    let out = model.forward(&mut g, &theta, test_x);
+    let objective = q_error_loss(&mut g, out, &data.ln_card[test], model.ln_max());
+    let hypergrad = grad_all_leaves(&mut g, objective, &[x])[0];
+    (g, vec![objective, hypergrad], inputs)
+}
+
+fn value_bits(g: &Graph, vars: &[Var]) -> Vec<Vec<u32>> {
+    vars.iter()
+        .map(|&v| g.value(v).data().iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+/// Optimizes a tape, replays the plan, and returns `(nodes_after, output bits)`.
+fn plan_bits(g: &Graph, outputs: &[Var], inputs: &[Var], ctx: &str) -> (usize, Vec<Vec<u32>>) {
+    let plan = pace_tensor::opt::optimize(g, outputs, inputs, ctx);
+    let mut arena = Arena::new();
+    plan.replay(&mut arena);
+    let bits = (0..plan.num_outputs())
+        .map(|k| {
+            let m = plan.output_value(&arena, k);
+            m.data().iter().map(|x| x.to_bits()).collect()
+        })
+        .collect();
+    (plan.stats().nodes_after, bits)
+}
+
+/// The production tapes — one CE train step and the attack's K=1 and K=4
+/// hypergradient — differentiate demand-driven. For every CE model type
+/// they must give the same bits as the all-leaves reference, on a smaller
+/// eager tape, and optimize to a plan of the same size with the same
+/// replayed bits.
+#[test]
+fn production_gradients_match_all_leaves_reference() {
+    let ds = build(DatasetKind::Tpch, Scale::quick(), 2);
+    let exec = Executor::new(&ds);
+    let mut rng = StdRng::seed_from_u64(11);
+    let labeled = exec.label_nonzero(generate_queries(
+        &ds,
+        &WorkloadSpec::default(),
+        &mut rng,
+        48,
+    ));
+    let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
+    let half = data.enc.len() / 2;
+    let n = half.min(16);
+    let (poison, test) = (0..n, half..half + n);
+
+    for ty in CeModelType::all() {
+        let model = CeModel::new(ty, &ds, CeConfig::quick(), 6);
+
+        // One CE train step: loss and ∂loss/∂θ.
+        let step_tape = |reference: bool| {
+            let mut g = Graph::new();
+            let bind = model.params().bind(&mut g);
+            let x = g.leaf(rows_to_matrix(&data.enc[poison.clone()]));
+            let out = model.forward(&mut g, &bind, x);
+            let loss = q_error_loss(&mut g, out, &data.ln_card[poison.clone()], model.ln_max());
+            let grads = if reference {
+                grad_all_leaves(&mut g, loss, bind.vars())
+            } else {
+                g.grad(loss, bind.vars())
+            };
+            let mut outputs = vec![loss];
+            outputs.extend(grads);
+            let inputs = bind.vars().to_vec();
+            (g, outputs, inputs)
+        };
+        let mut cases = vec![(
+            "ce train step".to_string(),
+            step_tape(false),
+            step_tape(true),
+        )];
+        for k in [1usize, 4] {
+            let pruned = build_hypergradient_tape(
+                &model,
+                &data.enc[poison.clone()],
+                &data.ln_card[poison.clone()],
+                &data.enc[test.clone()],
+                &data.ln_card[test.clone()],
+                k,
+                1e-2,
+            );
+            let reference = reference_hypergradient_tape(
+                &model,
+                &data,
+                (poison.clone(), test.clone()),
+                k,
+                1e-2,
+            );
+            cases.push((format!("hypergradient K={k}"), pruned, reference));
+        }
+
+        for (what, (g, outputs, inputs), (rg, r_outputs, r_inputs)) in &cases {
+            let ctx = format!("{} {what}", ty.name());
+            assert_eq!(
+                value_bits(g, outputs),
+                value_bits(rg, r_outputs),
+                "{ctx}: demand-driven gradients differ from the all-leaves reference"
+            );
+            assert!(
+                g.len() < rg.len(),
+                "{ctx}: eager tape of {} nodes is not smaller than the reference's {}",
+                g.len(),
+                rg.len()
+            );
+            let (nodes, bits) = plan_bits(g, outputs, inputs, &ctx);
+            let (r_nodes, r_bits) = plan_bits(rg, r_outputs, r_inputs, &ctx);
+            assert_eq!(nodes, r_nodes, "{ctx}: optimized plan size changed");
+            assert_eq!(bits, r_bits, "{ctx}: optimized replay bits changed");
         }
     }
 }
