@@ -120,11 +120,24 @@ fn bench_models(c: &mut Criterion) {
     let labeled = exec.label_nonzero(generate_queries(&ds, &spec, &mut rng, 96));
     let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
 
-    for ty in [CeModelType::Fcn, CeModelType::Mscn, CeModelType::Rnn] {
+    // The full 96-query workload, plus the batch sizes serving coalesces
+    // requests into, where fixed per-kernel cost outweighs arithmetic.
+    for ty in [
+        CeModelType::Fcn,
+        CeModelType::Mscn,
+        CeModelType::Rnn,
+        CeModelType::Lstm,
+    ] {
         let model = CeModel::new(ty, &ds, CeConfig::quick(), 6);
         c.bench_function(&format!("models/{}_estimate_batch", ty.name()), |b| {
             b.iter(|| black_box(model.estimate_encoded_batch(&data.enc)))
         });
+        for n in [1, 4, 16] {
+            let batch = &data.enc[..n];
+            c.bench_function(&format!("models/{}_estimate_batch_{n}", ty.name()), |b| {
+                b.iter(|| black_box(model.estimate_encoded_batch(batch)))
+            });
+        }
     }
     c.bench_function("models/fcn_update_10_steps", |b| {
         b.iter_batched(

@@ -342,10 +342,11 @@ impl Server {
     }
 
     /// Runs a request stream (and scheduled swap events) to completion and
-    /// returns the reply records appended by this call, in completion
-    /// order. Requests are sorted by `(arrival, id)`; arrivals earlier
-    /// than the server's clock are admitted at the clock. The server can
-    /// be `run` repeatedly; virtual time carries over.
+    /// returns this call's reply records, in completion order. The records
+    /// move to the caller; the server keeps none of them. Requests are
+    /// sorted by `(arrival, id)`; arrivals earlier than the server's clock
+    /// are admitted at the clock. The server can be `run` repeatedly;
+    /// virtual time carries over.
     pub fn run(
         &mut self,
         mut requests: Vec<Request>,
@@ -354,7 +355,6 @@ impl Server {
         let _span = pace_trace::span("serve::run");
         requests.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
         swaps.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.version.cmp(&b.version)));
-        let mark = self.replies.len();
         let mut requests: VecDeque<Request> = requests.into();
         let mut swaps: VecDeque<SwapEvent> = swaps.into();
         loop {
@@ -384,7 +384,7 @@ impl Server {
                 self.admit(r);
             }
         }
-        self.replies[mark..].to_vec()
+        std::mem::take(&mut self.replies)
     }
 
     /// When the current queue contents would fire, if ever.
@@ -601,5 +601,62 @@ impl Server {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pace_data::{build, DatasetKind, Scale};
+    use pace_workload::{generate_queries, WorkloadSpec};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Regression: `run` once returned a copy of its records and kept the
+    /// originals for the server's lifetime, so a long-lived server grew with
+    /// every request it had ever answered. Each call must hand over exactly
+    /// its own records and leave none behind.
+    #[test]
+    fn run_hands_over_its_own_records_and_retains_none() {
+        let ds = build(DatasetKind::Dmv, Scale::tiny(), 3);
+        let mut rng = StdRng::seed_from_u64(4);
+        let queries = generate_queries(&ds, &WorkloadSpec::single_table(), &mut rng, 6);
+        let fallback = HistogramEstimator::build(&ds, 16);
+        let mut srv = Server::new(
+            ServeConfig::default(),
+            ds.schema.clone(),
+            Vec::new(),
+            Some(fallback),
+        );
+        let stream = |first_id: u64, start: f64| -> Vec<Request> {
+            (0u64..)
+                .zip(&queries)
+                .map(|(i, q)| Request {
+                    id: first_id + i,
+                    arrival: start + i as f64 * 1e-3,
+                    deadline: start + 10.0,
+                    query: q.clone(),
+                })
+                .collect()
+        };
+        let ids = |records: &[ReplyRecord]| {
+            let mut ids: Vec<u64> = records.iter().map(|r| r.id).collect();
+            ids.sort_unstable();
+            ids
+        };
+
+        let first = srv.run(stream(0, 0.0), Vec::new());
+        assert_eq!(ids(&first), (0..6).collect::<Vec<u64>>());
+        assert!(
+            srv.replies.is_empty(),
+            "server kept the first run's records"
+        );
+
+        let second = srv.run(stream(100, 1.0), Vec::new());
+        assert_eq!(ids(&second), (100..106).collect::<Vec<u64>>());
+        assert!(
+            srv.replies.is_empty(),
+            "server kept the second run's records"
+        );
     }
 }

@@ -45,7 +45,7 @@
 
 use crate::dataflow::TRANSCENDENTAL_FLOPS;
 use crate::graph::{Op, Var};
-use crate::matrix::Matrix;
+use crate::matrix::{fan_out, Matrix};
 use crate::opt::{plan_inputs, Arena, PlanKind, PlanNode, TapePlan};
 use pace_runtime as pool;
 
@@ -533,8 +533,8 @@ pub(crate) fn eval_chain(
             base += w;
         }
     };
-    let decision = pool::cost::decide(chain.region(len));
-    if decision.is_parallel() && !pool::in_worker() && pool::threads() > 1 {
+    let decision = fan_out(chain.region(len));
+    if decision.is_parallel() {
         let grain = decision.grain(len);
         let grid = pool::chunk_ranges(len, grain);
         pool::for_each_split(dst.data_mut(), &grid, |lo, chunk| run(lo, chunk));

@@ -26,7 +26,8 @@ const MATMUL_PANEL: usize = 128;
 // decided by the calibrated profitability oracle (`pool::cost::decide`)
 // instead of hand-picked FLOP thresholds: on machines where dispatch
 // overhead outweighs the region, the oracle answers `Sequential` and the
-// kernels stay inline. The resulting grids are still pure functions of the
+// kernels stay inline. With one pool worker the oracle is never asked (see
+// [`fan_out`]). The resulting grids are still pure functions of the
 // shape and the per-process cost constants — never of the thread count —
 // and these regions' results are chunking-independent, so determinism
 // across `PACE_THREADS` settings is preserved.
@@ -43,81 +44,51 @@ fn axpy_row(out_row: &mut [f32], av: f32, b_row: &[f32]) {
 /// Computes output rows `[lo, hi)` of `a · b` into `out`, which is the
 /// row-major storage of exactly those rows.
 ///
-/// The zero-skip fast path is gated per `b` row: `0 · x` contributes exactly
-/// `+0.0` only when `x` is finite (IEEE-754 addition of `+0.0`/`-0.0`
-/// products to a non-negative-zero accumulator is the identity), so skipping
-/// is bit-transparent there — but `0 · NaN` and `0 · ±Inf` are NaN and must
-/// reach the accumulator for non-finite values to propagate (the contract
-/// `Graph::push`'s producer tracking and `PACE_FINITE` rely on).
+/// The kernel is dense: every product `a[i][k] · b[k][j]` is formed and
+/// added, so `0 · NaN` and `0 · ±Inf` reach the accumulator as NaN and
+/// non-finite values propagate without any scan of `b` (the contract
+/// `Graph::push`'s producer tracking and `PACE_FINITE` rely on). Adding the
+/// `±0` products of zero entries costs nothing in bits: every accumulator
+/// starts at `+0.0`, and under round-to-nearest a sum is `−0.0` only when
+/// both addends are `−0.0`, so the accumulator is never `−0.0` and adding
+/// `±0` to it is the identity.
 ///
-/// The skip decision is hoisted out of the inner loop into a per-row-panel
-/// mask (`use_k`), so the hot `j`-loop carries no data-dependent branch and
-/// the autovectorizer sees straight-line multiply-adds. Runs of four
-/// unskipped `b` rows are processed together with the accumulator kept in a
-/// register across all four updates — per output element that is the *same
-/// sequence* of ascending-`k` adds the scalar path performs, so blocked,
-/// unrolled, masked, and row-parallel results stay bit-identical.
-fn matmul_rows(out: &mut [f32], a: &Matrix, b: &Matrix, lo: usize, hi: usize, b_finite: &[bool]) {
+/// Runs of four `b` rows are processed together with the accumulator kept
+/// in a register across all four updates — per output element that is the
+/// *same sequence* of ascending-`k` adds a scalar triple loop performs, so
+/// blocked, unrolled and row-parallel results stay bit-identical.
+fn matmul_rows(out: &mut [f32], a: &Matrix, b: &Matrix, lo: usize, hi: usize) {
     let (k, m) = (a.cols, b.cols);
     out.fill(0.0);
-    let mut use_k = [false; MATMUL_PANEL];
     for panel in (0..k).step_by(MATMUL_PANEL) {
         let panel_end = (panel + MATMUL_PANEL).min(k);
-        let plen = panel_end - panel;
         for i in lo..hi {
-            let a_row = &a.data[i * k + panel..i * k + panel_end];
-            // Per-(row, panel) skip mask: exactly the products the scalar
-            // path skipped (`+0.0` contributions with finite `b`), decided
-            // once per `a` element instead of inside the `j`-loop.
-            let mut any = false;
-            for (off, &av) in a_row.iter().enumerate() {
-                let keep = !(av == 0.0 && b_finite[panel + off]);
-                use_k[off] = keep;
-                any |= keep;
-            }
-            if !any {
-                continue;
-            }
+            let a_row = &a.data[i * k..(i + 1) * k];
             let out_row = &mut out[(i - lo) * m..(i - lo + 1) * m];
-            let mut off = 0;
-            while off + 4 <= plen {
-                if use_k[off] && use_k[off + 1] && use_k[off + 2] && use_k[off + 3] {
-                    let kk = panel + off;
-                    let (a0, a1, a2, a3) =
-                        (a_row[off], a_row[off + 1], a_row[off + 2], a_row[off + 3]);
-                    let b0 = &b.data[kk * m..(kk + 1) * m];
-                    let b1 = &b.data[(kk + 1) * m..(kk + 2) * m];
-                    let b2 = &b.data[(kk + 2) * m..(kk + 3) * m];
-                    let b3 = &b.data[(kk + 3) * m..(kk + 4) * m];
-                    for ((((o, &v0), &v1), &v2), &v3) in
-                        out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                    {
-                        // Four sequential adds in ascending-k order — the
-                        // accumulator stays in a register, the order is the
-                        // scalar path's.
-                        let mut acc = *o;
-                        acc += a0 * v0;
-                        acc += a1 * v1;
-                        acc += a2 * v2;
-                        acc += a3 * v3;
-                        *o = acc;
-                    }
-                } else {
-                    for u in off..off + 4 {
-                        if use_k[u] {
-                            let kk = panel + u;
-                            axpy_row(out_row, a_row[u], &b.data[kk * m..(kk + 1) * m]);
-                        }
-                    }
+            let mut kk = panel;
+            while kk + 4 <= panel_end {
+                let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
+                let b0 = &b.data[kk * m..(kk + 1) * m];
+                let b1 = &b.data[(kk + 1) * m..(kk + 2) * m];
+                let b2 = &b.data[(kk + 2) * m..(kk + 3) * m];
+                let b3 = &b.data[(kk + 3) * m..(kk + 4) * m];
+                for ((((o, &v0), &v1), &v2), &v3) in
+                    out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
+                {
+                    // Four sequential adds in ascending-k order — the
+                    // accumulator stays in a register, the order is the
+                    // scalar loop's.
+                    let mut acc = *o;
+                    acc += a0 * v0;
+                    acc += a1 * v1;
+                    acc += a2 * v2;
+                    acc += a3 * v3;
+                    *o = acc;
                 }
-                off += 4;
+                kk += 4;
             }
-            while off < plen {
-                if use_k[off] {
-                    let kk = panel + off;
-                    axpy_row(out_row, a_row[off], &b.data[kk * m..(kk + 1) * m]);
-                }
-                off += 1;
+            for (kk, &av) in (kk..panel_end).zip(&a_row[kk..panel_end]) {
+                axpy_row(out_row, av, &b.data[kk * m..(kk + 1) * m]);
             }
         }
     }
@@ -151,16 +122,13 @@ pub(crate) fn matmul_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
     );
     let (n, k, m) = (a.rows, a.cols, b.cols);
     dst.reset_shape(n, m);
-    let b_finite: Vec<bool> = (0..k)
-        .map(|r| b.data[r * m..(r + 1) * m].iter().all(|x| x.is_finite()))
-        .collect();
     pace_trace::MATMUL_FLOPS.add(matmul_flop_count(n, k, m));
-    let decision = pool::cost::decide(pool::cost::RegionCost {
+    let decision = fan_out(pool::cost::RegionCost {
         items: n,
         flops_per_item: 2.0 * k.saturating_mul(m) as f64,
         bytes_per_item: ((k + m) * size_of::<f32>()) as f64,
     });
-    if decision.is_parallel() && n > 1 && m > 0 && !pool::in_worker() && pool::threads() > 1 {
+    if decision.is_parallel() && m > 0 {
         let min_rows = decision.grain(n);
         // Row grid scaled to element offsets, so the pool's write-set
         // checker sees the ranges in output-element coordinates.
@@ -171,10 +139,10 @@ pub(crate) fn matmul_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
         pool::for_each_split(dst.data.as_mut_slice(), &grid, |lo, chunk| {
             let lo_row = lo / m;
             let hi_row = lo_row + chunk.len() / m;
-            matmul_rows(chunk, a, b, lo_row, hi_row, &b_finite);
+            matmul_rows(chunk, a, b, lo_row, hi_row);
         });
     } else {
-        matmul_rows(&mut dst.data, a, b, 0, n, &b_finite);
+        matmul_rows(&mut dst.data, a, b, 0, n);
     }
 }
 
@@ -201,16 +169,17 @@ pub(crate) fn zip_region(len: usize) -> pool::cost::RegionCost {
     }
 }
 
-/// The oracle's verdict for a unary map. Callers still gate the fan-out on
-/// `!pool::in_worker()` and `pool::threads() > 1` at the site, keeping
-/// those checks outside the pool-call span.
-fn map_decision(len: usize) -> pool::cost::Decision {
-    pool::cost::decide(map_region(len))
-}
-
-/// The oracle's verdict for a binary zip (see [`zip_region`]).
-fn zip_decision(len: usize) -> pool::cost::Decision {
-    pool::cost::decide(zip_region(len))
+/// Whether a kernel region fans out over the pool, and how coarsely. A
+/// process with one worker, or a region already running on a worker, stays
+/// inline without consulting the oracle, so the small kernels that dominate
+/// serving never take the oracle's constants lock. The checks sit here, not
+/// inside any pool-call span.
+pub(crate) fn fan_out(r: pool::cost::RegionCost) -> pool::cost::Decision {
+    if pool::threads() > 1 && !pool::in_worker() {
+        pool::cost::decide(r)
+    } else {
+        pool::cost::Decision::Sequential
+    }
 }
 
 /// Edge of the square tiles [`transpose_into`] blocks the copy into: a
@@ -386,8 +355,8 @@ impl Matrix {
     /// chunking, so parallel and sequential outputs are identical.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Self {
         let mut data = vec![0.0f32; self.len()];
-        let decision = map_decision(self.len());
-        if decision.is_parallel() && !pool::in_worker() && pool::threads() > 1 {
+        let decision = fan_out(map_region(self.len()));
+        if decision.is_parallel() {
             let grain = decision.grain(self.len());
             let grid = pool::chunk_ranges(self.len(), grain);
             pool::for_each_split(&mut data, &grid, |lo, chunk| {
@@ -421,8 +390,8 @@ impl Matrix {
             other.shape()
         );
         let mut data = vec![0.0f32; self.len()];
-        let decision = zip_decision(self.len());
-        if decision.is_parallel() && !pool::in_worker() && pool::threads() > 1 {
+        let decision = fan_out(zip_region(self.len()));
+        if decision.is_parallel() {
             let grain = decision.grain(self.len());
             let grid = pool::chunk_ranges(self.len(), grain);
             pool::for_each_split(&mut data, &grid, |lo, chunk| {
@@ -442,8 +411,10 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `self · other` — the blocked, pool-parallel kernel
-    /// ([`matmul_into`]); `0 · NaN` and `0 · Inf` propagate as NaN.
+    /// Matrix product `self · other` — the dense, blocked, pool-parallel
+    /// kernel ([`matmul_into`]). Every product is formed, so `0 · NaN` and
+    /// `0 · Inf` propagate as NaN; the `±0` products of zero entries leave
+    /// the bits unchanged.
     ///
     /// # Panics
     /// Panics when inner dimensions differ.
@@ -605,9 +576,16 @@ impl Matrix {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
-    /// True when every element is finite.
+    /// True when every element is finite. A branch-free fold: an `f32` is
+    /// NaN or ±Inf exactly when its exponent bits are all ones, so the scan
+    /// ORs one exponent test per element and vectorizes, instead of
+    /// short-circuiting element by element.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        const EXP: u32 = 0x7f80_0000;
+        !self
+            .data
+            .iter()
+            .fold(false, |bad, x| bad | ((x.to_bits() & EXP) == EXP))
     }
 }
 
@@ -697,10 +675,11 @@ mod tests {
         assert_eq!(c.slice_rows(1, 3), b);
     }
 
-    /// Regression: the zero-skip fast path used to swallow `0 · NaN` and
+    /// Regression: a zero-skipping kernel once swallowed `0 · NaN` and
     /// `0 · Inf` (IEEE says both are NaN), so a non-finite `b` never
     /// propagated through rows of `a` containing zeros — contradicting the
-    /// non-finite producer tracking in `Graph::push` and `PACE_FINITE`.
+    /// non-finite producer tracking in `Graph::push` and `PACE_FINITE`. The
+    /// dense kernel forms every product, so both reach the accumulator.
     #[test]
     fn matmul_zero_times_nan_propagates() {
         let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
@@ -718,15 +697,17 @@ mod tests {
         assert!(z.matmul(&inf).get(0, 0).is_nan(), "0·Inf must be NaN");
     }
 
-    /// The zero-skip must still fire (and stay bit-transparent) when `b` is
-    /// finite: a zero row of `a` yields exactly +0.0.
+    /// A zero row of `a` times a finite `b` yields exactly `+0.0`, even where
+    /// every product is `−0.0`: the accumulator starts at `+0.0` and
+    /// `+0.0 + −0.0 = +0.0`, so adding the zero products is bit-transparent.
     #[test]
     fn matmul_zero_row_with_finite_b_stays_zero() {
         let a = Matrix::from_vec(2, 2, vec![0.0, 0.0, 1.0, 1.0]);
-        let b = Matrix::from_vec(2, 2, vec![-3.0, 7.0, 11.0, -2.0]);
+        let b = Matrix::from_vec(2, 2, vec![-3.0, 7.0, -11.0, -2.0]);
         let c = a.matmul(&b);
-        assert_eq!(c.row_slice(0), &[0.0, 0.0]);
-        assert_eq!(c.row_slice(1), &[8.0, 5.0]);
+        assert_eq!(c.get(0, 0).to_bits(), 0.0f32.to_bits(), "+0.0, not -0.0");
+        assert_eq!(c.get(0, 1).to_bits(), 0.0f32.to_bits());
+        assert_eq!(c.row_slice(1), &[-14.0, 5.0]);
     }
 
     /// Parallel matmul must be bit-identical to sequential for every thread
@@ -743,7 +724,8 @@ mod tests {
         };
         let mut av: Vec<f32> = (0..n * k).map(|_| next()).collect();
         let mut bv: Vec<f32> = (0..k * m).map(|_| next()).collect();
-        // Exercise both the skip and NaN paths.
+        // Zero entries of `a` and a NaN in `b`: every product is formed, so
+        // the NaN column must come out NaN wherever it is reached.
         for i in (0..av.len()).step_by(17) {
             av[i] = 0.0;
         }

@@ -8,7 +8,8 @@ use pace_tensor::{pool, Matrix};
 use proptest::prelude::*;
 
 /// Deterministic value table mixing magnitudes, exact zeros, and non-finite
-/// sentinels so both the zero-skip and NaN-propagation paths are exercised.
+/// sentinels, so zero products and NaN propagation (`0 · NaN`, `0 · Inf`)
+/// are both exercised.
 fn value(code: u8) -> f32 {
     match code % 16 {
         0..=2 => 0.0,

@@ -1,7 +1,8 @@
 //! Cross-crate property-based tests (proptest): the exact-count engine versus
 //! a brute-force reference, encoder round-trips, generator validity, and
-//! optimizer invariants over randomized inputs; plus the production tapes'
-//! demand-driven gradients against the all-leaves reference.
+//! optimizer invariants over randomized inputs; the production tapes'
+//! demand-driven gradients against the all-leaves reference; and the matmul
+//! kernel against naive triple loops.
 
 use pace_ce::{q_error_loss, rows_to_matrix, CeConfig, CeModel, CeModelType, EncodedWorkload};
 use pace_core::attack::build_hypergradient_tape;
@@ -9,7 +10,7 @@ use pace_data::schema::{table, JoinEdge};
 use pace_data::{build, Dataset, DatasetKind, Scale, Schema, Table};
 use pace_engine::{naive_count, optimize, CardEstimator, Executor};
 use pace_tensor::opt::Arena;
-use pace_tensor::{Binding, Graph, Var};
+use pace_tensor::{pool, Binding, Graph, Matrix, Var};
 use pace_workload::{generate_queries, Predicate, Query, QueryEncoder, WorkloadSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -339,5 +340,126 @@ fn production_gradients_match_all_leaves_reference() {
             assert_eq!(nodes, r_nodes, "{ctx}: optimized plan size changed");
             assert_eq!(bits, r_bits, "{ctx}: optimized replay bits changed");
         }
+    }
+}
+
+/// One matmul operand value from a random word: signed zeros (common, so
+/// whole runs of `a` are zero), subnormals, `±1e20` (whose products
+/// overflow to `±Inf`), ordinary floats, and — when `specials` is set —
+/// NaN and `±Inf`.
+fn kernel_value(r: u64, specials: bool) -> f32 {
+    let frac = (r >> 40) as f32 / (1u64 << 24) as f32;
+    match r % 64 {
+        0..=11 => 0.0,
+        12..=15 => -0.0,
+        16 if specials => f32::NAN,
+        17 if specials => f32::INFINITY,
+        18 if specials => f32::NEG_INFINITY,
+        19 => 1e20,
+        20 => -1e20,
+        21 => f32::from_bits(1 + (r >> 41) as u32),
+        22 => -f32::from_bits(1 + (r >> 41) as u32),
+        _ => (frac - 0.5) * 8.0,
+    }
+}
+
+fn kernel_matrix(rows: usize, cols: usize, seed: u64, specials: bool) -> Matrix {
+    let mut state = seed;
+    let data = (0..rows * cols)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            kernel_value(state >> 1, specials)
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// The bits of `x`, with every NaN mapped to one pattern. IEEE 754 leaves
+/// open which operand's payload a NaN-on-NaN add returns, and x86 returns
+/// the first operand's, so the sign and payload of a NaN result depend on
+/// how the compiler ordered the operands of one loop's add — not on the
+/// values summed.
+fn nan_class_bits(x: f32) -> u32 {
+    if x.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+/// The definition of `a · b`: for each output element, `+0.0` plus the
+/// products in ascending `k`. With `skip_finite_zeros`, terms with
+/// `a == 0` whose `b` row is all finite are left out — the semantics of the
+/// zero-skipping kernel this one replaced.
+fn naive_matmul_bits(a: &Matrix, b: &Matrix, skip_finite_zeros: bool) -> Vec<u32> {
+    let ((n, k), m) = (a.shape(), b.cols());
+    let row_finite: Vec<bool> = (0..k)
+        .map(|r| b.row_slice(r).iter().all(|x| x.is_finite()))
+        .collect();
+    let mut out = Vec::with_capacity(n * m);
+    for i in 0..n {
+        for j in 0..m {
+            let mut acc = 0.0f32;
+            for (kk, &finite) in row_finite.iter().enumerate() {
+                let av = a.get(i, kk);
+                if skip_finite_zeros && av == 0.0 && finite {
+                    continue;
+                }
+                acc += av * b.get(kk, j);
+            }
+            out.push(nan_class_bits(acc));
+        }
+    }
+    out
+}
+
+fn matrix_bits(m: &Matrix) -> Vec<u32> {
+    m.data().iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The dense matmul kernel is bitwise the naive ascending-`k` triple
+    /// loop, and bitwise the loop that skips `0 · finite` terms: adding a
+    /// `±0` product to an accumulator that starts at `+0.0` never changes
+    /// its bits, while `0 · NaN` and `0 · ±Inf` still reach it (NaNs compare
+    /// as one class, see [`nan_class_bits`]). Shapes cross the 128-row
+    /// panel edge and every `k % 4` tail. The product fanned out over the
+    /// pool, under a cost model that makes every sizeable region parallel,
+    /// must equal the sequential one bit for bit, NaN payloads included.
+    #[test]
+    fn matmul_kernel_matches_naive_loops(
+        n in 1usize..=20,
+        k in 1usize..=140,
+        m in 1usize..=40,
+        seed in any::<u64>(),
+        a_specials in any::<bool>(),
+        b_specials in any::<bool>(),
+        threads in 2usize..9,
+    ) {
+        let a = kernel_matrix(n, k, seed, a_specials);
+        let b = kernel_matrix(k, m, seed ^ 0x9e37_79b9_7f4a_7c15, b_specials);
+        let dense = naive_matmul_bits(&a, &b, false);
+        prop_assert_eq!(&naive_matmul_bits(&a, &b, true), &dense);
+
+        pool::set_threads(1);
+        let sequential = a.matmul(&b);
+        pool::cost::set_constants(Some(pool::cost::CostConstants {
+            dispatch_ns: 100.0,
+            task_ns: 10.0,
+            flops_per_ns: 1.0,
+            bytes_per_ns: 1.0,
+            effective_parallelism: 8.0,
+        }));
+        pool::set_threads(threads);
+        let fanned_out = a.matmul(&b);
+        pool::set_threads(0);
+        pool::cost::set_constants(None);
+        prop_assert_eq!(matrix_bits(&fanned_out), matrix_bits(&sequential));
+        let kernel: Vec<u32> = sequential.data().iter().map(|&x| nan_class_bits(x)).collect();
+        prop_assert_eq!(kernel, dense);
     }
 }
