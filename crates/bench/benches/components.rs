@@ -1,17 +1,18 @@
 //! Criterion micro-benchmarks of the substrate components: autograd
-//! (including the attack's double-backward unroll), the exact-count engine,
+//! (including the attack's double-backward unroll), the exact-count engine
+//! (including the attack-shaped decoded queries it labels),
 //! the join-order optimizer, CE-model inference, and generator steps.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pace_ce::{CeConfig, CeModel, CeModelType, EncodedWorkload};
 use pace_core::{GeneratorConfig, PoisonGenerator};
-use pace_data::{build, DatasetKind, Scale};
+use pace_data::{build, Dataset, DatasetKind, Scale};
 use pace_engine::{optimize, Executor, OracleEstimator};
 use pace_tensor::nn::{Activation, Mlp};
 use pace_tensor::{Graph, Matrix, ParamStore};
 use pace_workload::{generate_queries, Query, QueryEncoder, WorkloadSpec};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_autograd(c: &mut Criterion) {
@@ -112,6 +113,56 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
+/// Queries decoded from random encoder vectors, the shape the attack's
+/// generator hands the `COUNT(*)` oracle: a random connected pattern of up
+/// to four tables, and on each of its attributes an ordered random range,
+/// full range one time in four, so most pattern tables carry predicates.
+fn decoded_queries(ds: &Dataset, n: usize, seed: u64) -> Vec<Query> {
+    let enc = QueryEncoder::new(ds);
+    let patterns = ds.schema.connected_patterns(4);
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let mut v = vec![0.0f32; enc.dim()];
+            for &t in &patterns[rng.random_range(0..patterns.len())] {
+                v[t] = 1.0;
+            }
+            for i in 0..enc.attributes().len() {
+                let (a, b) = (rng.random_range(0.0f32..1.0), rng.random_range(0.0f32..1.0));
+                let (lo, hi) = if rng.random_range(0..4) == 0 {
+                    (0.0, 1.0)
+                } else {
+                    (a.min(b), a.max(b))
+                };
+                v[enc.num_tables() + 2 * i] = lo;
+                v[enc.num_tables() + 2 * i + 1] = hi;
+            }
+            enc.decode(&v)
+        })
+        .collect()
+}
+
+/// The attack's oracle workload on each multi-table schema: 256 decoded
+/// queries per iteration, plus the executor set-up (join-key dictionaries
+/// and narrow columns) that every query then reuses.
+fn bench_engine_decoded(c: &mut Criterion) {
+    for (name, kind) in [
+        ("tpch", DatasetKind::Tpch),
+        ("imdb", DatasetKind::Imdb),
+        ("stats", DatasetKind::Stats),
+    ] {
+        let ds = build(kind, Scale::quick(), 2);
+        let exec = Executor::new(&ds);
+        let queries = decoded_queries(&ds, 256, 7);
+        c.bench_function(&format!("engine/count_decoded_{name}"), |b| {
+            b.iter(|| queries.iter().map(|q| exec.count(q)).sum::<u64>())
+        });
+        c.bench_function(&format!("engine/executor_new_{name}"), |b| {
+            b.iter(|| black_box(Executor::new(&ds)).dataset().tables.len())
+        });
+    }
+}
+
 fn bench_models(c: &mut Criterion) {
     let ds = build(DatasetKind::Tpch, Scale::quick(), 4);
     let exec = Executor::new(&ds);
@@ -178,6 +229,6 @@ fn bench_generator(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_autograd, bench_engine, bench_models, bench_generator
+    targets = bench_autograd, bench_engine, bench_engine_decoded, bench_models, bench_generator
 }
 criterion_main!(benches);

@@ -11,46 +11,204 @@
 //!   its join key;
 //! * the query cardinality is the weight sum at the root.
 //!
-//! One query costs `O(Σ pattern table rows)` — no materialization, exact
-//! counts. This implements both the attacker's `COUNT(*)` oracle and the true
+//! This implements both the attacker's `COUNT(*)` oracle and the true
 //! intermediate-size oracle of the execution simulator.
+//!
+//! # Join-key dictionaries and slot folds
+//!
+//! [`Executor::new`] gives every schema join edge one dictionary: each
+//! distinct `i64` found on either endpoint column (negative, sparse and
+//! dangling values included) gets a dense `u32` slot, and each endpoint
+//! stores the slot of every row. A fold then never hashes: the child's
+//! weights are added into a `vec![0.0; domain]` at the child rows' slots,
+//! and each parent row reads its factor at its own slot. A value present on
+//! only one side of the edge reads the slot's `0.0`, exactly as a missing
+//! hash-map key read `unwrap_or(0.0)`.
+//!
+//! Predicates are ANDed into a per-table byte mask with one unsigned
+//! compare per row, `(v − lo) as u64 <= (hi − lo) as u64` in wrapping
+//! arithmetic, so the filter has no data-dependent branch; an empty range
+//! (`lo > hi`) zeroes the mask. A column whose values span at most
+//! `u32::MAX` (nearly all: values are dictionary codes) is also kept as
+//! `u32` offsets from its minimum; the predicate is clipped to the column's
+//! range and compared on four bytes per row, which vectorizes several rows
+//! per instruction. The mask becomes `f64` weights once.
+//!
+//! # Bit-identity with the hashed fold
+//!
+//! Weights are never negative, `−0.0` or NaN: they start at `+0.0`/`1.0`,
+//! and a fold multiplies only rows whose weight is positive (a select, so
+//! `0 · ∞` cannot produce NaN). Each slot accumulates its child weights in
+//! ascending row order starting from `+0.0`. Rows of weight `+0.0` are added
+//! too, and adding `+0.0` to a non-negative sum that is never `−0.0` is the
+//! identity, so each slot holds exactly the sum a hash-map entry held. The
+//! root sums in row order. Every `f64` weight, and hence every `u64` count,
+//! is the one the per-row hashed fold produced, counts above 2⁵³ included.
+//!
+//! # Cost of one query
+//!
+//! For every pattern table: one mask pass per predicate, one pass to turn
+//! the mask into weights, and per folded child one scatter pass over the
+//! child's rows (skipped for an unfiltered leaf child, whose sums are
+//! precomputed) plus one gather pass over the parent's rows. That is
+//! `O(Σ pattern table rows × (1 + predicates))` with no hashing, no
+//! materialization, and exact counts; the fold also checks that the
+//! pattern is connected, by counting the tables it reaches. On quick-scale
+//! TPC-H an attack-shaped decoded query takes ~12 µs on a 2-vCPU Xeon
+//! (criterion `engine/count_decoded_tpch`).
 
 use pace_data::Dataset;
 use pace_runtime as pool;
 use pace_workload::{LabeledQuery, Query, Workload};
 use std::collections::HashMap;
 
+/// The join-key dictionary of one schema join edge.
+struct EdgeDict {
+    /// Dictionary slot of every row's join value, per endpoint: `[left,
+    /// right]` in [`pace_data::JoinEdge`] order.
+    slots: [Vec<u32>; 2],
+    /// Unfiltered rows per slot, per endpoint, accumulated in row order
+    /// (`+1.0` per row). A fold whose child has no predicates and no further
+    /// pattern children reads these instead of rescanning the child.
+    sums: [Vec<f64>; 2],
+    /// Number of distinct join values over both endpoints.
+    domain: usize,
+}
+
+impl EdgeDict {
+    fn build(ds: &Dataset, ends: [(usize, usize); 2]) -> Self {
+        let mut dict: HashMap<i64, u32> = HashMap::new();
+        let slots = ends.map(|(table, col)| {
+            ds.tables[table]
+                .col(col)
+                .iter()
+                .map(|&v| {
+                    let next = u32::try_from(dict.len()).expect("join domain fits in u32 slots");
+                    *dict.entry(v).or_insert(next)
+                })
+                .collect::<Vec<u32>>()
+        });
+        let domain = dict.len();
+        let sums = slots.each_ref().map(|side| {
+            let mut sums = vec![0.0f64; domain];
+            for &k in side {
+                sums[k as usize] += 1.0;
+            }
+            sums
+        });
+        Self {
+            slots,
+            sums,
+            domain,
+        }
+    }
+}
+
+/// A column stored as `u32` offsets from its minimum, kept when its value
+/// range fits in 32 bits (almost every column: values are dictionary
+/// codes). A predicate then compares four bytes per row instead of eight,
+/// which the compiler vectorizes several values per instruction.
+struct NarrowCol {
+    min: i64,
+    max: i64,
+    offsets: Vec<u32>,
+}
+
+impl NarrowCol {
+    fn build(col: &[i64]) -> Option<Self> {
+        let (&min, &max) = (col.iter().min()?, col.iter().max()?);
+        if max.wrapping_sub(min) as u64 > u64::from(u32::MAX) {
+            return None;
+        }
+        let offsets = col.iter().map(|&v| v.wrapping_sub(min) as u32).collect();
+        Some(Self { min, max, offsets })
+    }
+
+    /// ANDs `lo ≤ v ≤ hi` (with `lo ≤ hi`) into `mask`. The range is first
+    /// clipped to the column's `[min, max]`, so every value it keeps is the
+    /// offset of a value the `i64` compare keeps, and no other.
+    fn and_range(&self, mask: &mut [u8], lo: i64, hi: i64) {
+        if hi < self.min || lo > self.max {
+            mask.fill(0);
+            return;
+        }
+        let lo = lo.max(self.min).wrapping_sub(self.min) as u32;
+        let width = (hi.min(self.max).wrapping_sub(self.min) as u32) - lo;
+        for (m, &v) in mask.iter_mut().zip(&self.offsets) {
+            *m &= u8::from(v.wrapping_sub(lo) <= width);
+        }
+    }
+}
+
+/// ANDs `lo ≤ v ≤ hi` (with `lo ≤ hi`) into `mask` with one unsigned compare
+/// per row: in wrapping arithmetic `v − lo` lands in `[0, hi − lo]` exactly
+/// when `v` is in range, for any `i64` bounds.
+fn and_range(mask: &mut [u8], col: &[i64], lo: i64, hi: i64) {
+    let width = hi.wrapping_sub(lo) as u64;
+    for (m, &v) in mask.iter_mut().zip(col) {
+        *m &= u8::from(v.wrapping_sub(lo) as u64 <= width);
+    }
+}
+
+/// One join-graph neighbor of a table, as seen from that table.
+#[derive(Clone, Copy)]
+struct Neighbor {
+    table: usize,
+    edge: usize,
+    /// Endpoint index (into [`EdgeDict::slots`]) of the table itself; the
+    /// neighbor is on the other one.
+    side: usize,
+}
+
 /// Exact-count executor over one dataset.
 pub struct Executor<'a> {
     ds: &'a Dataset,
-    adj: Vec<Vec<(usize, usize)>>,
-    /// Unfiltered per-value row counts for every join-edge endpoint
-    /// `(table, column)`, accumulated in row order. Shared by every query in
-    /// a batch: a semi-join fold whose child has no predicates and no further
-    /// pattern children reads these sums instead of rescanning the child.
-    edge_sums: HashMap<(usize, usize), HashMap<i64, f64>>,
+    adj: Vec<Vec<Neighbor>>,
+    /// One join-key dictionary per schema edge, indexed like
+    /// `ds.schema.edges`. Built once and shared read-only by every query.
+    dicts: Vec<EdgeDict>,
+    /// `narrow[table][col]`: the column as 32-bit offsets, when it fits.
+    narrow: Vec<Vec<Option<NarrowCol>>>,
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor (precomputes join-graph adjacency and the
-    /// unfiltered group-by sums of every join-edge endpoint).
+    /// Creates an executor: builds join-graph adjacency, one join-key
+    /// dictionary with unfiltered per-slot row counts per schema edge, and
+    /// the 32-bit offset copy of every column whose range allows one.
     pub fn new(ds: &'a Dataset) -> Self {
-        let mut edge_sums: HashMap<(usize, usize), HashMap<i64, f64>> = HashMap::new();
-        for edge in &ds.schema.edges {
-            for (table, col) in [edge.left, edge.right] {
-                edge_sums.entry((table, col)).or_insert_with(|| {
-                    let mut sums: HashMap<i64, f64> = HashMap::new();
-                    for &v in ds.tables[table].col(col) {
-                        *sums.entry(v).or_insert(0.0) += 1.0;
-                    }
-                    sums
-                });
-            }
+        let mut adj = vec![Vec::new(); ds.schema.num_tables()];
+        for (edge, e) in ds.schema.edges.iter().enumerate() {
+            adj[e.left.0].push(Neighbor {
+                table: e.right.0,
+                edge,
+                side: 0,
+            });
+            adj[e.right.0].push(Neighbor {
+                table: e.left.0,
+                edge,
+                side: 1,
+            });
         }
+        let dicts = ds
+            .schema
+            .edges
+            .iter()
+            .map(|e| EdgeDict::build(ds, [e.left, e.right]))
+            .collect();
+        let narrow = ds
+            .tables
+            .iter()
+            .map(|t| {
+                (0..t.num_cols())
+                    .map(|c| NarrowCol::build(t.col(c)))
+                    .collect()
+            })
+            .collect();
         Self {
             ds,
-            adj: ds.schema.adjacency(),
-            edge_sums,
+            adj,
+            dicts,
+            narrow,
         }
     }
 
@@ -65,83 +223,97 @@ impl<'a> Executor<'a> {
     /// Panics when the query's pattern is empty or not connected (invalid
     /// queries should be filtered before execution).
     pub fn count(&self, q: &Query) -> u64 {
+        assert!(!q.tables.is_empty(), "count over an empty pattern");
+        // The fold visits exactly the pattern tables reachable from the
+        // root, so it doubles as the connectivity check.
+        let mut visited = 0;
+        let w = self.subtree_weights(q, q.tables[0], usize::MAX, &mut visited);
         assert!(
-            self.ds.schema.is_connected(&q.tables),
+            visited == q.tables.len(),
             "count over a disconnected pattern {:?}",
             q.tables
         );
-        let root = q.tables[0];
-        let w = self.subtree_weights(q, root, usize::MAX);
         w.iter().sum::<f64>().round() as u64
     }
 
     /// Weights of `table`'s rows after folding in all pattern children on the
-    /// far side from `parent`.
-    fn subtree_weights(&self, q: &Query, table: usize, parent: usize) -> Vec<f64> {
-        let t = &self.ds.tables[table];
-        let mut w = self.filter_mask(q, table);
-        for &(neighbor, edge_idx) in &self.adj[table] {
-            if neighbor == parent || !q.tables.contains(&neighbor) {
+    /// far side from `parent`. Adds the number of tables folded (`table`
+    /// included) to `visited`.
+    fn subtree_weights(
+        &self,
+        q: &Query,
+        table: usize,
+        parent: usize,
+        visited: &mut usize,
+    ) -> Vec<f64> {
+        *visited += 1;
+        let mut w = self.filter_weights(q, table);
+        for nb in &self.adj[table] {
+            let child = nb.table;
+            if child == parent || !q.tables.contains(&child) {
                 continue;
             }
-            let edge = self.ds.schema.edges[edge_idx];
-            let (my_col, child_col) = if edge.left.0 == table {
-                (edge.left.1, edge.right.1)
-            } else {
-                (edge.right.1, edge.left.1)
-            };
+            let dict = &self.dicts[nb.edge];
+            let child_side = 1 - nb.side;
             // A child with no predicates and no further pattern neighbors
             // contributes all-1 weights, so its fold is exactly the
-            // precomputed unfiltered group-by sums. Both are accumulated in
-            // row order (+1.0 per row), so the cached path is bit-identical
-            // to the recomputed one.
-            let trivial = q.predicates_on(neighbor).next().is_none()
-                && self.adj[neighbor]
+            // precomputed unfiltered per-slot sums (both add `+1.0` per row
+            // in row order).
+            let trivial = q.predicates_on(child).next().is_none()
+                && self.adj[child]
                     .iter()
-                    .all(|&(nb, _)| nb == table || !q.tables.contains(&nb));
+                    .all(|n| n.table == table || !q.tables.contains(&n.table));
             let computed;
-            let sums: &HashMap<i64, f64> = if trivial {
-                &self.edge_sums[&(neighbor, child_col)]
+            let sums: &[f64] = if trivial {
+                *visited += 1;
+                &dict.sums[child_side]
             } else {
-                let child_w = self.subtree_weights(q, neighbor, table);
-                let child_vals = self.ds.tables[neighbor].col(child_col);
-                let mut s: HashMap<i64, f64> = HashMap::new();
-                for (r, &cw) in child_w.iter().enumerate() {
-                    if cw > 0.0 {
-                        *s.entry(child_vals[r]).or_insert(0.0) += cw;
-                    }
+                let child_w = self.subtree_weights(q, child, table, visited);
+                let mut s = vec![0.0f64; dict.domain];
+                for (&k, &cw) in dict.slots[child_side].iter().zip(&child_w) {
+                    s[k as usize] += cw;
                 }
                 computed = s;
                 &computed
             };
-            let my_vals = t.col(my_col);
-            for (r, wr) in w.iter_mut().enumerate() {
-                if *wr > 0.0 {
-                    *wr *= sums.get(&my_vals[r]).copied().unwrap_or(0.0);
-                }
+            for (&k, wr) in dict.slots[nb.side].iter().zip(w.iter_mut()) {
+                let f = sums[k as usize];
+                *wr = if *wr > 0.0 { *wr * f } else { *wr };
             }
         }
         w
     }
 
-    /// 1/0 weights of a table's rows under the query's predicates on it.
-    fn filter_mask(&self, q: &Query, table: usize) -> Vec<f64> {
+    /// 1/0 byte mask of a table's rows under the query's predicates on it.
+    fn filter_mask(&self, q: &Query, table: usize) -> Vec<u8> {
         let t = &self.ds.tables[table];
-        let mut w = vec![1.0f64; t.num_rows()];
+        let mut mask = vec![1u8; t.num_rows()];
         for p in q.predicates_on(table) {
-            let col = t.col(p.col);
-            for (r, wr) in w.iter_mut().enumerate() {
-                if *wr > 0.0 && !(p.lo..=p.hi).contains(&col[r]) {
-                    *wr = 0.0;
-                }
+            if p.lo > p.hi {
+                mask.fill(0);
+            } else if let Some(col) = &self.narrow[table][p.col] {
+                col.and_range(&mut mask, p.lo, p.hi);
+            } else {
+                and_range(&mut mask, t.col(p.col), p.lo, p.hi);
             }
         }
-        w
+        mask
+    }
+
+    /// 1/0 weights of a table's rows under the query's predicates on it.
+    fn filter_weights(&self, q: &Query, table: usize) -> Vec<f64> {
+        if q.predicates_on(table).next().is_none() {
+            return vec![1.0; self.ds.tables[table].num_rows()];
+        }
+        self.filter_mask(q, table)
+            .into_iter()
+            .map(f64::from)
+            .collect()
     }
 
     /// Number of rows of `table` passing the query's predicates on it.
     pub fn filtered_size(&self, q: &Query, table: usize) -> u64 {
-        self.filter_mask(q, table).iter().sum::<f64>() as u64
+        self.filter_mask(q, table).into_iter().map(u64::from).sum()
     }
 
     /// Cardinality of the sub-query induced by a connected subset of the
@@ -162,10 +334,11 @@ impl<'a> Executor<'a> {
     /// Exact cardinalities of a batch of queries, fanned out over the
     /// deterministic pool (`PACE_THREADS`) when the calibrated
     /// profitability oracle says the batch is worth it. Queries are
-    /// independent, the per-edge group-by sums are shared read-only across
+    /// independent, the join-key dictionaries are shared read-only across
     /// workers, and per-chunk results are concatenated in chunk order, so
     /// the result is identical to mapping [`Executor::count`] sequentially
-    /// whatever grain the oracle picks.
+    /// whatever grain the oracle picks. With one pool worker the oracle is
+    /// never consulted (see [`pool::cost::fan_out`]).
     pub fn count_batch(&self, queries: &[Query]) -> Vec<u64> {
         let _span = pace_trace::span("engine::count_batch");
         // One query costs O(sum of pattern table rows); model an average
@@ -174,7 +347,7 @@ impl<'a> Executor<'a> {
         // dispatch per query and lost to sequential execution on hosts
         // with little effective parallelism.
         let rows: usize = self.ds.tables.iter().map(pace_data::Table::num_rows).sum();
-        let decision = pool::cost::decide(pool::cost::RegionCost {
+        let decision = pool::cost::fan_out(pool::cost::RegionCost {
             items: queries.len(),
             flops_per_item: 4.0 * rows as f64,
             bytes_per_item: (rows * size_of::<i64>()) as f64,
@@ -406,6 +579,19 @@ mod tests {
             }],
         );
         assert_eq!(ex.count(&q), 0);
+        // An empty range (`lo > hi`) keeps no row, even where the wrapping
+        // width `hi − lo` would cover every value.
+        let inverted = Query::new(
+            vec![0, 1],
+            vec![Predicate {
+                table: 0,
+                col: 1,
+                lo: 30,
+                hi: 10,
+            }],
+        );
+        assert_eq!(ex.count(&inverted), 0);
+        assert_eq!(ex.filtered_size(&inverted, 0), 0);
     }
 
     #[test]
@@ -521,6 +707,58 @@ mod tests {
             assert_eq!(ex.count_batch(&queries), reference, "threads={threads}");
         }
         pace_runtime::set_threads(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "disconnected")]
+    fn disconnected_pattern_panics() {
+        let ds = chain_dataset();
+        let _ = Executor::new(&ds).count(&Query::new(vec![0, 2], vec![]));
+    }
+
+    /// The 32-bit offset compare keeps exactly the rows the `i64` compare
+    /// keeps, for bounds inside, around and far outside the column's range.
+    #[test]
+    fn narrow_column_masks_match_the_i64_compare() {
+        let col = [-5i64, 0, 3, 3, 7, 1 << 31, -(1 << 31) + 1];
+        let narrow = NarrowCol::build(&col).expect("range fits in 32 bits");
+        let bounds = [
+            i64::MIN,
+            -(1 << 31),
+            -6,
+            -5,
+            -1,
+            0,
+            3,
+            4,
+            7,
+            1 << 31,
+            (1 << 31) + 1,
+            i64::MAX,
+        ];
+        for &lo in &bounds {
+            for &hi in bounds.iter().filter(|&&hi| hi >= lo) {
+                let mut wide = [1u8; 7];
+                and_range(&mut wide, &col, lo, hi);
+                let expected: Vec<u8> = col
+                    .iter()
+                    .map(|v| u8::from((lo..=hi).contains(v)))
+                    .collect();
+                assert_eq!(wide.to_vec(), expected, "i64 compare [{lo}, {hi}]");
+                let mut mask = [1u8; 7];
+                narrow.and_range(&mut mask, lo, hi);
+                assert_eq!(mask.to_vec(), expected, "u32 compare [{lo}, {hi}]");
+            }
+        }
+    }
+
+    #[test]
+    fn only_columns_spanning_at_most_u32_max_are_narrowed() {
+        let max = i64::from(u32::MAX);
+        assert!(NarrowCol::build(&[-3, max - 3]).is_some());
+        assert!(NarrowCol::build(&[-3, max - 2]).is_none());
+        assert!(NarrowCol::build(&[i64::MIN, i64::MAX]).is_none());
+        assert!(NarrowCol::build(&[]).is_none());
     }
 
     #[test]

@@ -44,6 +44,7 @@
 //! cost speed, never correctness or a surprise fan-out.
 
 use crate::flags::EnvSpec;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -223,6 +224,19 @@ pub fn decide(r: RegionCost) -> Decision {
     Decision::Parallel { min_chunk }
 }
 
+/// [`decide`] for a region about to enter the pool, with the pool-shape
+/// shortcut every kernel and batch call site shares: a process with one
+/// worker, or a region already running on a worker, stays inline without
+/// consulting the oracle. So one-worker runs never take the constants lock
+/// and never [`calibrate`], whose probes spawn hardware-wide threads.
+pub fn fan_out(r: RegionCost) -> Decision {
+    if crate::threads() > 1 && !crate::in_worker() {
+        decide(r)
+    } else {
+        Decision::Sequential
+    }
+}
+
 /// Resolved constants for this process: a [`set_constants`] override wins,
 /// then a plausible `PACE_SCHED_COST` spec, then one [`calibrate`] run.
 /// Cached after first resolution.
@@ -248,6 +262,15 @@ pub fn set_constants(c: Option<CostConstants>) {
 }
 
 static CACHE: Mutex<Option<CostConstants>> = Mutex::new(None);
+
+/// How many times [`calibrate`] has run in this process.
+static CALIBRATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// How many times [`calibrate`] has run in this process (resolving the
+/// constants calibrates at most once; reports may calibrate again).
+pub fn calibrations() -> usize {
+    CALIBRATIONS.load(Ordering::Relaxed)
+}
 
 fn lock(m: &Mutex<Option<CostConstants>>) -> std::sync::MutexGuard<'_, Option<CostConstants>> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -279,22 +302,32 @@ fn seeded_buffer(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// Independent accumulators of the FLOP-rate probe in [`calibrate`]: enough
+/// for the compiler to keep several SIMD registers of sums in flight. With
+/// 8 or 16 lanes the loop stayed scalar and read 4–6 flops/ns on a 2-vCPU
+/// Xeon whose 192×192 matmul sustains 13–23; with 32 it reads 15–18.
+const FLOP_LANES: usize = 32;
+
 /// Runs the seeded micro-benchmark and returns measured constants, failing
-/// closed if any probe produces an implausible number. One-time cost is a
-/// few milliseconds; [`constants`] caches the result for the process.
+/// closed if any probe produces an implausible number. One run takes tens of
+/// milliseconds (51–62 ms on a 2-vCPU Xeon); [`constants`] caches the result
+/// for the process.
 ///
 /// The probes, in order:
 ///
 /// * **dispatch**: spawn + join an empty [`std::thread::scope`] region
 ///   with the machine's hardware thread count;
 /// * **task**: per-task overhead of [`crate::for_each_owned`] no-ops;
-/// * **flops**: fused multiply-add sweep over a seeded 64 Ki f32 buffer;
+/// * **flops**: multiply-add sweep over a seeded 64 Ki f32 buffer into 32
+///   independent accumulators, so it measures arithmetic throughput rather
+///   than the latency of one dependent add chain;
 /// * **bytes**: streaming sum over a seeded 4 MiB buffer (past L1/L2);
 /// * **effective parallelism**: speedup of a saturating compute loop
 ///   fanned over hardware threads vs. run serially — deliberately
 ///   measured against *hardware* parallelism, not `PACE_THREADS`, so the
 ///   answer reflects the machine rather than a test's thread override.
 pub fn calibrate() -> CostConstants {
+    CALIBRATIONS.fetch_add(1, Ordering::Relaxed);
     let hw = std::thread::available_parallelism().map_or(1, usize::from);
 
     // Dispatch: empty scoped fan-out, hardware-wide.
@@ -313,18 +346,25 @@ pub fn calibrate() -> CostConstants {
     });
     let task_ns = ((region_ns - dispatch_ns) / TASKS as f64).max(20.0);
 
-    // Arithmetic throughput: FMA sweep, 2 flops per element per pass.
+    // Arithmetic throughput: multiply-add sweep, 2 flops per element per
+    // pass. One accumulator would serialize every add behind the previous
+    // one and time add latency (a ~35x underestimate next to the matmul
+    // kernel); independent lanes keep the adders busy the way real kernels
+    // do. `mul_add` is avoided because without a target FMA feature it is a
+    // libm call per element.
     let buf = seeded_buffer(1 << 16, 0x5eed);
     const PASSES: usize = 8;
     let mut acc = 0.0f32;
     let flop_ns = best_ns(4, || {
-        let mut a = 0.0f32;
+        let mut lanes = [0.0f32; FLOP_LANES];
         for _ in 0..PASSES {
-            for &x in &buf {
-                a = x.mul_add(1.000_1, a);
+            for chunk in buf.chunks_exact(FLOP_LANES) {
+                for (a, &x) in lanes.iter_mut().zip(chunk) {
+                    *a += x * 1.000_1;
+                }
             }
         }
-        acc += a;
+        acc += lanes.iter().sum::<f32>();
     });
     let flops_per_ns = (2 * PASSES * buf.len()) as f64 / flop_ns.max(1.0);
 

@@ -45,7 +45,7 @@
 
 use crate::dataflow::TRANSCENDENTAL_FLOPS;
 use crate::graph::{Op, Var};
-use crate::matrix::{fan_out, Matrix};
+use crate::matrix::Matrix;
 use crate::opt::{plan_inputs, Arena, PlanKind, PlanNode, TapePlan};
 use pace_runtime as pool;
 
@@ -533,7 +533,7 @@ pub(crate) fn eval_chain(
             base += w;
         }
     };
-    let decision = fan_out(chain.region(len));
+    let decision = pool::cost::fan_out(chain.region(len));
     if decision.is_parallel() {
         let grain = decision.grain(len);
         let grid = pool::chunk_ranges(len, grain);

@@ -26,11 +26,11 @@ const MATMUL_PANEL: usize = 128;
 // decided by the calibrated profitability oracle (`pool::cost::decide`)
 // instead of hand-picked FLOP thresholds: on machines where dispatch
 // overhead outweighs the region, the oracle answers `Sequential` and the
-// kernels stay inline. With one pool worker the oracle is never asked (see
-// [`fan_out`]). The resulting grids are still pure functions of the
-// shape and the per-process cost constants — never of the thread count —
-// and these regions' results are chunking-independent, so determinism
-// across `PACE_THREADS` settings is preserved.
+// kernels stay inline. With one pool worker the oracle is never asked
+// (see `pool::cost::fan_out`). The resulting grids are still pure
+// functions of the shape and the per-process cost constants — never of the
+// thread count — and these regions' results are chunking-independent, so
+// determinism across `PACE_THREADS` settings is preserved.
 
 /// Accumulates `av · b_row` into `out_row` — one rank-1 row update of the
 /// panel kernel, in ascending-`j` order.
@@ -123,7 +123,7 @@ pub(crate) fn matmul_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
     let (n, k, m) = (a.rows, a.cols, b.cols);
     dst.reset_shape(n, m);
     pace_trace::MATMUL_FLOPS.add(matmul_flop_count(n, k, m));
-    let decision = fan_out(pool::cost::RegionCost {
+    let decision = pool::cost::fan_out(pool::cost::RegionCost {
         items: n,
         flops_per_item: 2.0 * k.saturating_mul(m) as f64,
         bytes_per_item: ((k + m) * size_of::<f32>()) as f64,
@@ -166,19 +166,6 @@ pub(crate) fn zip_region(len: usize) -> pool::cost::RegionCost {
         items: len,
         flops_per_item: 1.0,
         bytes_per_item: (3 * size_of::<f32>()) as f64,
-    }
-}
-
-/// Whether a kernel region fans out over the pool, and how coarsely. A
-/// process with one worker, or a region already running on a worker, stays
-/// inline without consulting the oracle, so the small kernels that dominate
-/// serving never take the oracle's constants lock. The checks sit here, not
-/// inside any pool-call span.
-pub(crate) fn fan_out(r: pool::cost::RegionCost) -> pool::cost::Decision {
-    if pool::threads() > 1 && !pool::in_worker() {
-        pool::cost::decide(r)
-    } else {
-        pool::cost::Decision::Sequential
     }
 }
 
@@ -355,7 +342,7 @@ impl Matrix {
     /// chunking, so parallel and sequential outputs are identical.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Self {
         let mut data = vec![0.0f32; self.len()];
-        let decision = fan_out(map_region(self.len()));
+        let decision = pool::cost::fan_out(map_region(self.len()));
         if decision.is_parallel() {
             let grain = decision.grain(self.len());
             let grid = pool::chunk_ranges(self.len(), grain);
@@ -390,7 +377,7 @@ impl Matrix {
             other.shape()
         );
         let mut data = vec![0.0f32; self.len()];
-        let decision = fan_out(zip_region(self.len()));
+        let decision = pool::cost::fan_out(zip_region(self.len()));
         if decision.is_parallel() {
             let grain = decision.grain(self.len());
             let grid = pool::chunk_ranges(self.len(), grain);

@@ -1,5 +1,7 @@
 //! Cross-crate property-based tests (proptest): the exact-count engine versus
-//! a brute-force reference, encoder round-trips, generator validity, and
+//! a brute-force reference and the old hashed fold (arbitrary `i64` join
+//! keys, empty tables, empty and full-range predicates, decoded attack-shaped
+//! queries at quick scale), encoder round-trips, generator validity, and
 //! optimizer invariants over randomized inputs; the production tapes'
 //! demand-driven gradients against the all-leaves reference; and the matmul
 //! kernel against naive triple loops.
@@ -14,7 +16,8 @@ use pace_tensor::{pool, Binding, Graph, Matrix, Var};
 use pace_workload::{generate_queries, Predicate, Query, QueryEncoder, WorkloadSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// A small random chain database `a — b — c` with data driven by proptest.
 fn chain_db(a_vals: Vec<i64>, b_fk: Vec<u8>, b_vals: Vec<i64>, c_fk: Vec<u8>) -> Dataset {
@@ -148,6 +151,325 @@ proptest! {
         }
         prop_assert!(plan.est_cost.is_finite());
         prop_assert!(plan.est_cost > 0.0);
+    }
+}
+
+/// The hashed semi-join fold `Executor::count` used before join-key
+/// dictionaries: a branchy per-row filter, then per folded child a
+/// `HashMap` of child weight sums probed by every parent row. The reference
+/// for the dictionary kernel, which must reproduce its counts bit for bit.
+fn hashed_fold_count(ds: &Dataset, q: &Query) -> u64 {
+    fn weights(
+        ds: &Dataset,
+        adj: &[Vec<(usize, usize)>],
+        q: &Query,
+        table: usize,
+        parent: usize,
+    ) -> Vec<f64> {
+        let t = &ds.tables[table];
+        let mut w = vec![1.0f64; t.num_rows()];
+        for p in q.predicates_on(table) {
+            let col = t.col(p.col);
+            for (r, wr) in w.iter_mut().enumerate() {
+                if *wr > 0.0 && !(p.lo..=p.hi).contains(&col[r]) {
+                    *wr = 0.0;
+                }
+            }
+        }
+        for &(child, e) in &adj[table] {
+            if child == parent || !q.tables.contains(&child) {
+                continue;
+            }
+            let edge = ds.schema.edges[e];
+            let (my_col, child_col) = if edge.left.0 == table {
+                (edge.left.1, edge.right.1)
+            } else {
+                (edge.right.1, edge.left.1)
+            };
+            let child_w = weights(ds, adj, q, child, table);
+            let mut sums: HashMap<i64, f64> = HashMap::new();
+            for (&v, &cw) in ds.tables[child].col(child_col).iter().zip(&child_w) {
+                if cw > 0.0 {
+                    *sums.entry(v).or_insert(0.0) += cw;
+                }
+            }
+            for (&v, wr) in t.col(my_col).iter().zip(w.iter_mut()) {
+                if *wr > 0.0 {
+                    *wr *= sums.get(&v).copied().unwrap_or(0.0);
+                }
+            }
+        }
+        w
+    }
+    let adj = ds.schema.adjacency();
+    let root = weights(ds, &adj, q, q.tables[0], usize::MAX);
+    root.iter().sum::<f64>().round() as u64
+}
+
+/// Join keys that stress a dictionary: both extremes of `i64`, negatives,
+/// sparse large values, and small values that collide often.
+const KEY_POOL: [i64; 10] = [
+    i64::MIN,
+    i64::MIN + 1,
+    -7,
+    -1,
+    0,
+    1,
+    2,
+    1 << 40,
+    i64::MAX - 1,
+    i64::MAX,
+];
+
+/// One column value: mostly drawn from [`KEY_POOL`] (so keys repeat, match
+/// across tables, and dangle), else a small value or any `i64`. Columns
+/// whose values span at most `u32::MAX` are filtered on 32-bit offsets,
+/// wider ones on `i64`s; both are common.
+fn key_value() -> impl Strategy<Value = i64> {
+    (0usize..16, -50i64..50, any::<i64>()).prop_map(|(i, small, raw)| match i {
+        0..=9 => KEY_POOL[i],
+        10..=13 => small,
+        _ => raw,
+    })
+}
+
+/// A forest schema: `hub` has three children (`c1`, `c2`, `c3`), `c3` has a
+/// child `g`, and `p — s` is a second tree. Every table has one attribute
+/// column after its key columns; all columns hold arbitrary `i64`s.
+fn forest_schema() -> Schema {
+    Schema::new(
+        "forest",
+        vec![
+            table("hub", &["id"], &[], &["h"]),
+            table("c1", &[], &["hub_id"], &["a"]),
+            table("c2", &[], &["hub_id"], &["b"]),
+            table("c3", &["id"], &["hub_id"], &["c"]),
+            table("g", &[], &["c3_id"], &["d"]),
+            table("p", &["id"], &[], &["x"]),
+            table("s", &[], &["p_id"], &["y"]),
+        ],
+        vec![
+            JoinEdge {
+                left: (0, 0),
+                right: (1, 0),
+            },
+            JoinEdge {
+                left: (2, 0),
+                right: (0, 0),
+            },
+            JoinEdge {
+                left: (0, 0),
+                right: (3, 1),
+            },
+            JoinEdge {
+                left: (4, 0),
+                right: (3, 0),
+            },
+            JoinEdge {
+                left: (5, 0),
+                right: (6, 0),
+            },
+        ],
+    )
+}
+
+/// Columns per table of [`forest_schema`].
+const FOREST_WIDTHS: [usize; 7] = [2, 2, 2, 3, 2, 2, 2];
+
+/// A [`forest_schema`] dataset from row-major cells (`rows[t][r][c]`).
+fn forest_db(rows: &[Vec<Vec<i64>>]) -> Dataset {
+    let tables = rows
+        .iter()
+        .zip(FOREST_WIDTHS)
+        .map(|(rows, width)| {
+            Table::from_columns(
+                (0..width)
+                    .map(|c| rows.iter().map(|row| row[c]).collect())
+                    .collect(),
+            )
+        })
+        .collect();
+    Dataset::new(forest_schema(), tables)
+}
+
+/// A predicate over one of a pattern table's columns, by shape: the full
+/// `i64` range, a point (`lo == hi`), an empty range (`lo > hi`), or an
+/// ordered range between two values.
+fn pick_predicate(table: usize, col: usize, shape: u8, a: i64, b: i64) -> Predicate {
+    let (lo, hi) = match shape % 4 {
+        0 => (i64::MIN, i64::MAX),
+        1 => (a, a),
+        2 if a != b => (a.max(b), a.min(b)),
+        2 if a == i64::MAX => (a, a - 1),
+        2 => (a + 1, a),
+        _ => (a.min(b), a.max(b)),
+    };
+    Predicate { table, col, lo, hi }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The dictionary kernel against the brute-force reference and the old
+    /// hashed fold on a forest schema with arbitrary `i64` join keys
+    /// (negative, sparse, duplicated, dangling, `i64::MIN`/`i64::MAX`),
+    /// empty tables, and several predicates per table including empty,
+    /// point and full-range ones. Covers `count`, `count_subset` on every
+    /// connected sub-pattern, `filtered_size`, and `count_batch` at one and
+    /// three workers. The hub of three children folds trivial children
+    /// (cached sums) and filtered ones in the same query.
+    #[test]
+    fn dictionary_count_matches_references_on_arbitrary_keys(
+        rows in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(key_value(), 3), 0..5),
+            7,
+        ),
+        pattern_pick in any::<usize>(),
+        preds in prop::collection::vec(
+            (any::<usize>(), 0usize..3, any::<u8>(), key_value(), key_value()),
+            0..7,
+        ),
+    ) {
+        let ds = forest_db(&rows);
+        let exec = Executor::new(&ds);
+        let patterns = ds.schema.connected_patterns(5);
+        let tables = patterns[pattern_pick % patterns.len()].clone();
+        let predicates: Vec<Predicate> = preds
+            .iter()
+            .map(|&(t, col, shape, a, b)| {
+                let table = tables[t % tables.len()];
+                pick_predicate(table, col % FOREST_WIDTHS[table], shape, a, b)
+            })
+            .collect();
+        let q = Query::new(tables.clone(), predicates);
+
+        let naive = naive_count(&ds, &q);
+        prop_assert_eq!(exec.count(&q), naive, "query {:?}", q);
+        prop_assert_eq!(hashed_fold_count(&ds, &q), naive);
+        for &t in &tables {
+            let single = Query::new(vec![t], q.predicates_on(t).copied().collect());
+            prop_assert_eq!(exec.filtered_size(&q, t), naive_count(&ds, &single));
+        }
+        let subsets: Vec<Vec<usize>> = patterns
+            .into_iter()
+            .filter(|p| p.iter().all(|t| tables.contains(t)))
+            .collect();
+        let mut batch = vec![q.clone()];
+        for subset in &subsets {
+            let sub = Query::new(
+                subset.clone(),
+                q.predicates.iter().copied().filter(|p| subset.contains(&p.table)).collect(),
+            );
+            let expected = naive_count(&ds, &sub);
+            prop_assert_eq!(exec.count_subset(&q, subset), expected, "subset {:?}", subset);
+            batch.push(sub);
+        }
+        let expected: Vec<u64> = batch.iter().map(|q| naive_count(&ds, q)).collect();
+        pool::set_threads(1);
+        prop_assert_eq!(exec.count_batch(&batch), expected.clone());
+        // A cost model under which the batch really fans out at 3 workers.
+        pool::cost::set_constants(Some(pool::cost::CostConstants {
+            dispatch_ns: 10.0,
+            task_ns: 1.0,
+            flops_per_ns: 1.0,
+            bytes_per_ns: 1.0,
+            effective_parallelism: 8.0,
+        }));
+        pool::set_threads(3);
+        let fanned_out = exec.count_batch(&batch);
+        pool::set_threads(0);
+        pool::cost::set_constants(None);
+        prop_assert_eq!(fanned_out, expected);
+    }
+}
+
+/// Counts above 2⁵³, where the root sum rounds: the dictionary kernel must
+/// round exactly where the hashed fold did. Five tables of 4000 rows with
+/// two distinct join keys join to ~6·10¹⁶ rows; a predicate per table makes
+/// the per-key weights uneven.
+#[test]
+fn counts_above_2_pow_53_match_the_hashed_fold() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = |m: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % m) as i64 - 2
+    };
+    // Key columns come first and hold {-2, -1}; the last column is the
+    // attribute, in -2..=2.
+    let rows: Vec<Vec<Vec<i64>>> = FOREST_WIDTHS
+        .iter()
+        .map(|&w| {
+            (0..4000)
+                .map(|_| {
+                    (0..w)
+                        .map(|c| next(if c + 1 < w { 2 } else { 5 }))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let ds = forest_db(&rows);
+    let exec = Executor::new(&ds);
+    let star = vec![0, 1, 2, 3, 4];
+    let unfiltered = Query::new(star.clone(), vec![]);
+    let filtered = Query::new(
+        star.clone(),
+        star.iter()
+            .map(|&t| pick_predicate(t, FOREST_WIDTHS[t] - 1, 3, -2, 1))
+            .collect(),
+    );
+    for q in [unfiltered, filtered] {
+        let count = exec.count(&q);
+        assert!(count > 1 << 53, "count {count} does not exceed 2^53");
+        assert_eq!(count, hashed_fold_count(&ds, &q), "query {q:?}");
+    }
+}
+
+/// A query decoded from a random encoder vector, the way the attack's
+/// generator produces them: a random connected pattern, and on each of its
+/// attributes an ordered random range, full range one time in four.
+fn random_decoded_query(enc: &QueryEncoder, patterns: &[Vec<usize>], rng: &mut StdRng) -> Query {
+    let mut v = vec![0.0f32; enc.dim()];
+    for &t in &patterns[rng.random_range(0..patterns.len())] {
+        v[t] = 1.0;
+    }
+    for i in 0..enc.attributes().len() {
+        let (a, b) = (rng.random_range(0.0f32..1.0), rng.random_range(0.0f32..1.0));
+        let (lo, hi) = if rng.random_range(0..4) == 0 {
+            (0.0, 1.0)
+        } else {
+            (a.min(b), a.max(b))
+        };
+        v[enc.num_tables() + 2 * i] = lo;
+        v[enc.num_tables() + 2 * i + 1] = hi;
+    }
+    enc.decode(&v)
+}
+
+/// Attack-shaped decoded queries on the quick-scale multi-table datasets:
+/// `Executor::count` equals the old hashed fold bit for bit.
+#[test]
+fn decoded_queries_match_the_hashed_fold_at_quick_scale() {
+    for (kind, seed) in [
+        (DatasetKind::Tpch, 11),
+        (DatasetKind::Imdb, 12),
+        (DatasetKind::Stats, 13),
+    ] {
+        let ds = build(kind, Scale::quick(), seed);
+        let exec = Executor::new(&ds);
+        let enc = QueryEncoder::new(&ds);
+        let patterns = ds.schema.connected_patterns(4);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut nonzero = 0;
+        for _ in 0..150 {
+            let q = random_decoded_query(&enc, &patterns, &mut rng);
+            let count = exec.count(&q);
+            assert_eq!(count, hashed_fold_count(&ds, &q), "{kind:?} query {q:?}");
+            nonzero += usize::from(count > 0);
+        }
+        assert!(nonzero > 0, "{kind:?}: every decoded query was empty");
     }
 }
 
