@@ -6,13 +6,13 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pace_ce::{CeConfig, CeModel, CeModelType, EncodedWorkload};
 use pace_core::{GeneratorConfig, PoisonGenerator};
-use pace_data::{build, Dataset, DatasetKind, Scale};
+use pace_data::{build, DatasetKind, Scale};
 use pace_engine::{optimize, Executor, OracleEstimator};
 use pace_tensor::nn::{Activation, Mlp};
 use pace_tensor::{Graph, Matrix, ParamStore};
 use pace_workload::{generate_queries, Query, QueryEncoder, WorkloadSpec};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn bench_autograd(c: &mut Criterion) {
@@ -113,38 +113,9 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
-/// Queries decoded from random encoder vectors, the shape the attack's
-/// generator hands the `COUNT(*)` oracle: a random connected pattern of up
-/// to four tables, and on each of its attributes an ordered random range,
-/// full range one time in four, so most pattern tables carry predicates.
-fn decoded_queries(ds: &Dataset, n: usize, seed: u64) -> Vec<Query> {
-    let enc = QueryEncoder::new(ds);
-    let patterns = ds.schema.connected_patterns(4);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let mut v = vec![0.0f32; enc.dim()];
-            for &t in &patterns[rng.random_range(0..patterns.len())] {
-                v[t] = 1.0;
-            }
-            for i in 0..enc.attributes().len() {
-                let (a, b) = (rng.random_range(0.0f32..1.0), rng.random_range(0.0f32..1.0));
-                let (lo, hi) = if rng.random_range(0..4) == 0 {
-                    (0.0, 1.0)
-                } else {
-                    (a.min(b), a.max(b))
-                };
-                v[enc.num_tables() + 2 * i] = lo;
-                v[enc.num_tables() + 2 * i + 1] = hi;
-            }
-            enc.decode(&v)
-        })
-        .collect()
-}
-
 /// The attack's oracle workload on each multi-table schema: 256 decoded
-/// queries per iteration, plus the executor set-up (join-key dictionaries
-/// and narrow columns) that every query then reuses.
+/// queries per iteration, plus the executor set-up (join-key dictionaries)
+/// that every query then reuses.
 fn bench_engine_decoded(c: &mut Criterion) {
     for (name, kind) in [
         ("tpch", DatasetKind::Tpch),
@@ -153,7 +124,12 @@ fn bench_engine_decoded(c: &mut Criterion) {
     ] {
         let ds = build(kind, Scale::quick(), 2);
         let exec = Executor::new(&ds);
-        let queries = decoded_queries(&ds, 256, 7);
+        let enc = QueryEncoder::new(&ds);
+        let patterns = ds.schema.connected_patterns(4);
+        let mut rng = StdRng::seed_from_u64(7);
+        let queries: Vec<Query> = (0..256)
+            .map(|_| enc.random_decoded(&patterns, &mut rng))
+            .collect();
         c.bench_function(&format!("engine/count_decoded_{name}"), |b| {
             b.iter(|| queries.iter().map(|q| exec.count(q)).sum::<u64>())
         });

@@ -28,11 +28,7 @@
 //! Predicates are ANDed into a per-table byte mask with one unsigned
 //! compare per row, `(v − lo) as u64 <= (hi − lo) as u64` in wrapping
 //! arithmetic, so the filter has no data-dependent branch; an empty range
-//! (`lo > hi`) zeroes the mask. A column whose values span at most
-//! `u32::MAX` (nearly all: values are dictionary codes) is also kept as
-//! `u32` offsets from its minimum; the predicate is clipped to the column's
-//! range and compared on four bytes per row, which vectorizes several rows
-//! per instruction. The mask becomes `f64` weights once.
+//! (`lo > hi`) zeroes the mask. The mask becomes `f64` weights once.
 //!
 //! # Bit-identity with the hashed fold
 //!
@@ -54,7 +50,7 @@
 //! `O(Σ pattern table rows × (1 + predicates))` with no hashing, no
 //! materialization, and exact counts; the fold also checks that the
 //! pattern is connected, by counting the tables it reaches. On quick-scale
-//! TPC-H an attack-shaped decoded query takes ~12 µs on a 2-vCPU Xeon
+//! TPC-H an attack-shaped decoded query takes ~17 µs on a 2-vCPU Xeon
 //! (criterion `engine/count_decoded_tpch`).
 
 use pace_data::Dataset;
@@ -104,42 +100,6 @@ impl EdgeDict {
     }
 }
 
-/// A column stored as `u32` offsets from its minimum, kept when its value
-/// range fits in 32 bits (almost every column: values are dictionary
-/// codes). A predicate then compares four bytes per row instead of eight,
-/// which the compiler vectorizes several values per instruction.
-struct NarrowCol {
-    min: i64,
-    max: i64,
-    offsets: Vec<u32>,
-}
-
-impl NarrowCol {
-    fn build(col: &[i64]) -> Option<Self> {
-        let (&min, &max) = (col.iter().min()?, col.iter().max()?);
-        if max.wrapping_sub(min) as u64 > u64::from(u32::MAX) {
-            return None;
-        }
-        let offsets = col.iter().map(|&v| v.wrapping_sub(min) as u32).collect();
-        Some(Self { min, max, offsets })
-    }
-
-    /// ANDs `lo ≤ v ≤ hi` (with `lo ≤ hi`) into `mask`. The range is first
-    /// clipped to the column's `[min, max]`, so every value it keeps is the
-    /// offset of a value the `i64` compare keeps, and no other.
-    fn and_range(&self, mask: &mut [u8], lo: i64, hi: i64) {
-        if hi < self.min || lo > self.max {
-            mask.fill(0);
-            return;
-        }
-        let lo = lo.max(self.min).wrapping_sub(self.min) as u32;
-        let width = (hi.min(self.max).wrapping_sub(self.min) as u32) - lo;
-        for (m, &v) in mask.iter_mut().zip(&self.offsets) {
-            *m &= u8::from(v.wrapping_sub(lo) <= width);
-        }
-    }
-}
-
 /// ANDs `lo ≤ v ≤ hi` (with `lo ≤ hi`) into `mask` with one unsigned compare
 /// per row: in wrapping arithmetic `v − lo` lands in `[0, hi − lo]` exactly
 /// when `v` is in range, for any `i64` bounds.
@@ -150,65 +110,30 @@ fn and_range(mask: &mut [u8], col: &[i64], lo: i64, hi: i64) {
     }
 }
 
-/// One join-graph neighbor of a table, as seen from that table.
-#[derive(Clone, Copy)]
-struct Neighbor {
-    table: usize,
-    edge: usize,
-    /// Endpoint index (into [`EdgeDict::slots`]) of the table itself; the
-    /// neighbor is on the other one.
-    side: usize,
-}
-
 /// Exact-count executor over one dataset.
 pub struct Executor<'a> {
     ds: &'a Dataset,
-    adj: Vec<Vec<Neighbor>>,
+    /// `adj[t] = [(neighbor, edge idx)]`, as [`pace_data::Schema::adjacency`].
+    adj: Vec<Vec<(usize, usize)>>,
     /// One join-key dictionary per schema edge, indexed like
     /// `ds.schema.edges`. Built once and shared read-only by every query.
     dicts: Vec<EdgeDict>,
-    /// `narrow[table][col]`: the column as 32-bit offsets, when it fits.
-    narrow: Vec<Vec<Option<NarrowCol>>>,
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor: builds join-graph adjacency, one join-key
-    /// dictionary with unfiltered per-slot row counts per schema edge, and
-    /// the 32-bit offset copy of every column whose range allows one.
+    /// Creates an executor: builds join-graph adjacency and one join-key
+    /// dictionary with unfiltered per-slot row counts per schema edge.
     pub fn new(ds: &'a Dataset) -> Self {
-        let mut adj = vec![Vec::new(); ds.schema.num_tables()];
-        for (edge, e) in ds.schema.edges.iter().enumerate() {
-            adj[e.left.0].push(Neighbor {
-                table: e.right.0,
-                edge,
-                side: 0,
-            });
-            adj[e.right.0].push(Neighbor {
-                table: e.left.0,
-                edge,
-                side: 1,
-            });
-        }
         let dicts = ds
             .schema
             .edges
             .iter()
             .map(|e| EdgeDict::build(ds, [e.left, e.right]))
             .collect();
-        let narrow = ds
-            .tables
-            .iter()
-            .map(|t| {
-                (0..t.num_cols())
-                    .map(|c| NarrowCol::build(t.col(c)))
-                    .collect()
-            })
-            .collect();
         Self {
             ds,
-            adj,
+            adj: ds.schema.adjacency(),
             dicts,
-            narrow,
         }
     }
 
@@ -248,13 +173,15 @@ impl<'a> Executor<'a> {
     ) -> Vec<f64> {
         *visited += 1;
         let mut w = self.filter_weights(q, table);
-        for nb in &self.adj[table] {
-            let child = nb.table;
+        for &(child, edge) in &self.adj[table] {
             if child == parent || !q.tables.contains(&child) {
                 continue;
             }
-            let dict = &self.dicts[nb.edge];
-            let child_side = 1 - nb.side;
+            let dict = &self.dicts[edge];
+            // Endpoint indices (into `EdgeDict::slots`) of this table and of
+            // the child.
+            let side = usize::from(self.ds.schema.edges[edge].left.0 != table);
+            let child_side = 1 - side;
             // A child with no predicates and no further pattern neighbors
             // contributes all-1 weights, so its fold is exactly the
             // precomputed unfiltered per-slot sums (both add `+1.0` per row
@@ -262,7 +189,7 @@ impl<'a> Executor<'a> {
             let trivial = q.predicates_on(child).next().is_none()
                 && self.adj[child]
                     .iter()
-                    .all(|n| n.table == table || !q.tables.contains(&n.table));
+                    .all(|&(n, _)| n == table || !q.tables.contains(&n));
             let computed;
             let sums: &[f64] = if trivial {
                 *visited += 1;
@@ -276,7 +203,7 @@ impl<'a> Executor<'a> {
                 computed = s;
                 &computed
             };
-            for (&k, wr) in dict.slots[nb.side].iter().zip(w.iter_mut()) {
+            for (&k, wr) in dict.slots[side].iter().zip(w.iter_mut()) {
                 let f = sums[k as usize];
                 *wr = if *wr > 0.0 { *wr * f } else { *wr };
             }
@@ -291,8 +218,6 @@ impl<'a> Executor<'a> {
         for p in q.predicates_on(table) {
             if p.lo > p.hi {
                 mask.fill(0);
-            } else if let Some(col) = &self.narrow[table][p.col] {
-                col.and_range(&mut mask, p.lo, p.hi);
             } else {
                 and_range(&mut mask, t.col(p.col), p.lo, p.hi);
             }
@@ -716,49 +641,23 @@ mod tests {
         let _ = Executor::new(&ds).count(&Query::new(vec![0, 2], vec![]));
     }
 
-    /// The 32-bit offset compare keeps exactly the rows the `i64` compare
+    /// The wrapping unsigned compare keeps exactly the rows `lo ≤ v ≤ hi`
     /// keeps, for bounds inside, around and far outside the column's range.
     #[test]
-    fn narrow_column_masks_match_the_i64_compare() {
-        let col = [-5i64, 0, 3, 3, 7, 1 << 31, -(1 << 31) + 1];
-        let narrow = NarrowCol::build(&col).expect("range fits in 32 bits");
-        let bounds = [
-            i64::MIN,
-            -(1 << 31),
-            -6,
-            -5,
-            -1,
-            0,
-            3,
-            4,
-            7,
-            1 << 31,
-            (1 << 31) + 1,
-            i64::MAX,
-        ];
+    fn range_mask_matches_the_inclusive_compare() {
+        let col = [i64::MIN, -5, 0, 3, 3, 7, 1 << 40, i64::MAX];
+        let bounds = [i64::MIN, -6, -5, -1, 0, 3, 4, 7, 1 << 40, i64::MAX];
         for &lo in &bounds {
             for &hi in bounds.iter().filter(|&&hi| hi >= lo) {
-                let mut wide = [1u8; 7];
-                and_range(&mut wide, &col, lo, hi);
+                let mut mask = [1u8; 8];
+                and_range(&mut mask, &col, lo, hi);
                 let expected: Vec<u8> = col
                     .iter()
                     .map(|v| u8::from((lo..=hi).contains(v)))
                     .collect();
-                assert_eq!(wide.to_vec(), expected, "i64 compare [{lo}, {hi}]");
-                let mut mask = [1u8; 7];
-                narrow.and_range(&mut mask, lo, hi);
-                assert_eq!(mask.to_vec(), expected, "u32 compare [{lo}, {hi}]");
+                assert_eq!(mask.to_vec(), expected, "[{lo}, {hi}]");
             }
         }
-    }
-
-    #[test]
-    fn only_columns_spanning_at_most_u32_max_are_narrowed() {
-        let max = i64::from(u32::MAX);
-        assert!(NarrowCol::build(&[-3, max - 3]).is_some());
-        assert!(NarrowCol::build(&[-3, max - 2]).is_none());
-        assert!(NarrowCol::build(&[i64::MIN, i64::MAX]).is_none());
-        assert!(NarrowCol::build(&[]).is_none());
     }
 
     #[test]

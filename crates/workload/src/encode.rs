@@ -8,6 +8,7 @@
 
 use crate::query::{Predicate, Query};
 use pace_data::{ColStats, Dataset};
+use rand::Rng;
 
 /// Encodes queries of one dataset into fixed-width vectors and back.
 #[derive(Clone, Debug)]
@@ -100,6 +101,30 @@ impl QueryEncoder {
             });
         }
         Query::new(tables, predicates)
+    }
+
+    /// Decodes a random encoder vector, the shape of query the attack's
+    /// generator hands the `COUNT(*)` oracle: a pattern drawn from
+    /// `patterns` and, on each attribute, an ordered random range (the full
+    /// range one time in four), so most pattern tables carry predicates.
+    /// Shared by the oracle's benchmarks and tests so both see one shape.
+    #[doc(hidden)]
+    pub fn random_decoded(&self, patterns: &[Vec<usize>], rng: &mut impl Rng) -> Query {
+        let mut v = vec![0.0f32; self.dim()];
+        for &t in &patterns[rng.random_range(0..patterns.len())] {
+            v[t] = 1.0;
+        }
+        for i in 0..self.attrs.len() {
+            let (a, b) = (rng.random_range(0.0f32..1.0), rng.random_range(0.0f32..1.0));
+            let (lo, hi) = if rng.random_range(0..4) == 0 {
+                (0.0, 1.0)
+            } else {
+                (a.min(b), a.max(b))
+            };
+            v[self.num_tables + 2 * i] = lo;
+            v[self.num_tables + 2 * i + 1] = hi;
+        }
+        self.decode(&v)
     }
 
     /// Splits an encoded vector into its join prefix and bounds suffix.

@@ -16,8 +16,9 @@ use pace_tensor::{pool, Binding, Graph, Matrix, Var};
 use pace_workload::{generate_queries, Predicate, Query, QueryEncoder, WorkloadSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A small random chain database `a — b — c` with data driven by proptest.
 fn chain_db(a_vals: Vec<i64>, b_fk: Vec<u8>, b_vals: Vec<i64>, c_fk: Vec<u8>) -> Dataset {
@@ -154,6 +155,16 @@ proptest! {
     }
 }
 
+/// Serializes the tests that change process-wide pool state (worker count,
+/// forced cost constants). Tests run in parallel, and one test's reset would
+/// otherwise undo another's set-up midway, so a fanned-out leg could quietly
+/// run sequentially.
+static POOL_STATE: Mutex<()> = Mutex::new(());
+
+fn pool_state_lock() -> MutexGuard<'static, ()> {
+    POOL_STATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The hashed semi-join fold `Executor::count` used before join-key
 /// dictionaries: a branchy per-row filter, then per folded child a
 /// `HashMap` of child weight sums probed by every parent row. The reference
@@ -222,9 +233,8 @@ const KEY_POOL: [i64; 10] = [
 ];
 
 /// One column value: mostly drawn from [`KEY_POOL`] (so keys repeat, match
-/// across tables, and dangle), else a small value or any `i64`. Columns
-/// whose values span at most `u32::MAX` are filtered on 32-bit offsets,
-/// wider ones on `i64`s; both are common.
+/// across tables, and dangle), else a small value or any `i64`, so the
+/// wrapping range compare meets values at both ends of the `i64` range.
 fn key_value() -> impl Strategy<Value = i64> {
     (0usize..16, -50i64..50, any::<i64>()).prop_map(|(i, small, raw)| match i {
         0..=9 => KEY_POOL[i],
@@ -365,8 +375,9 @@ proptest! {
             batch.push(sub);
         }
         let expected: Vec<u64> = batch.iter().map(|q| naive_count(&ds, q)).collect();
+        let _pool = pool_state_lock();
         pool::set_threads(1);
-        prop_assert_eq!(exec.count_batch(&batch), expected.clone());
+        let sequential = exec.count_batch(&batch);
         // A cost model under which the batch really fans out at 3 workers.
         pool::cost::set_constants(Some(pool::cost::CostConstants {
             dispatch_ns: 10.0,
@@ -379,6 +390,7 @@ proptest! {
         let fanned_out = exec.count_batch(&batch);
         pool::set_threads(0);
         pool::cost::set_constants(None);
+        prop_assert_eq!(sequential, expected.clone());
         prop_assert_eq!(fanned_out, expected);
     }
 }
@@ -427,27 +439,6 @@ fn counts_above_2_pow_53_match_the_hashed_fold() {
     }
 }
 
-/// A query decoded from a random encoder vector, the way the attack's
-/// generator produces them: a random connected pattern, and on each of its
-/// attributes an ordered random range, full range one time in four.
-fn random_decoded_query(enc: &QueryEncoder, patterns: &[Vec<usize>], rng: &mut StdRng) -> Query {
-    let mut v = vec![0.0f32; enc.dim()];
-    for &t in &patterns[rng.random_range(0..patterns.len())] {
-        v[t] = 1.0;
-    }
-    for i in 0..enc.attributes().len() {
-        let (a, b) = (rng.random_range(0.0f32..1.0), rng.random_range(0.0f32..1.0));
-        let (lo, hi) = if rng.random_range(0..4) == 0 {
-            (0.0, 1.0)
-        } else {
-            (a.min(b), a.max(b))
-        };
-        v[enc.num_tables() + 2 * i] = lo;
-        v[enc.num_tables() + 2 * i + 1] = hi;
-    }
-    enc.decode(&v)
-}
-
 /// Attack-shaped decoded queries on the quick-scale multi-table datasets:
 /// `Executor::count` equals the old hashed fold bit for bit.
 #[test]
@@ -464,7 +455,7 @@ fn decoded_queries_match_the_hashed_fold_at_quick_scale() {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut nonzero = 0;
         for _ in 0..150 {
-            let q = random_decoded_query(&enc, &patterns, &mut rng);
+            let q = enc.random_decoded(&patterns, &mut rng);
             let count = exec.count(&q);
             assert_eq!(count, hashed_fold_count(&ds, &q), "{kind:?} query {q:?}");
             nonzero += usize::from(count > 0);
@@ -767,6 +758,7 @@ proptest! {
         let dense = naive_matmul_bits(&a, &b, false);
         prop_assert_eq!(&naive_matmul_bits(&a, &b, true), &dense);
 
+        let _pool = pool_state_lock();
         pool::set_threads(1);
         let sequential = a.matmul(&b);
         pool::cost::set_constants(Some(pool::cost::CostConstants {
