@@ -223,12 +223,8 @@ pub(crate) fn poisoning_objective(
 /// (Eq. 10), and the hypergradient of that objective with respect to the
 /// poisoning encodings.
 ///
-/// Returns `(graph, outputs, inputs)` in the shape the static-analysis
-/// tooling consumes ([`pace_tensor::opt::optimize`],
-/// [`pace_tensor::dataflow`]): `outputs` is `[objective, ∂objective/∂x]`,
-/// `inputs` is the poisoning-batch leaf followed by the `θ₀` parameter
-/// leaves. Used by `xtask tape-report`, the `tape_opt` benchmark, and the
-/// node-reduction acceptance test.
+/// Returns `(graph, outputs)`, where `outputs` is `[objective,
+/// ∂objective/∂x]`. Used by the eager-gradient parity test.
 pub fn build_hypergradient_tape(
     model: &CeModel,
     poison_enc: &[Vec<f32>],
@@ -237,17 +233,15 @@ pub fn build_hypergradient_tape(
     test_ln: &[f32],
     steps: usize,
     lr: f32,
-) -> (Graph, Vec<Var>, Vec<Var>) {
+) -> (Graph, Vec<Var>) {
     let mut g = Graph::new();
     let x = g.leaf(pace_ce::rows_to_matrix(poison_enc));
     let theta0 = model.params().bind(&mut g);
-    let mut inputs = vec![x];
-    inputs.extend(theta0.vars().iter().copied());
     let theta_k = unroll_virtual_updates(&mut g, model, theta0, x, poison_ln, steps, lr);
     let test_x = g.leaf(pace_ce::rows_to_matrix(test_enc));
     let objective = poisoning_objective(&mut g, model, &theta_k, test_x, test_ln);
     let hypergrad = g.grad(objective, &[x])[0];
-    (g, vec![objective, hypergrad], inputs)
+    (g, vec![objective, hypergrad])
 }
 
 pub use accelerated::train_generator_accelerated;

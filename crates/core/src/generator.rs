@@ -283,21 +283,17 @@ impl PoisonGenerator {
     }
 
     /// Applies one Adam step from a scalar loss (used by the attack loops for
-    /// the poisoning and detector-confrontation objectives). `context` labels
-    /// the tape for the `PACE_OPT` pipeline ([`pace_tensor::opt`]); the
-    /// gradient built here is the attack hypergradient, so this is where the
-    /// optimizer sees the full unrolled graph.
+    /// the poisoning and detector-confrontation objectives). The gradient
+    /// built here is the attack hypergradient through the full unrolled
+    /// graph. `context` names the attack loop as a fault-injection site.
     pub fn apply_step(&mut self, g: &mut Graph, loss: Var, bind: &Binding, context: &str) {
         let grad_vars = g.grad(loss, bind.vars());
-        let mut opt_outputs = vec![loss];
-        opt_outputs.extend(&grad_vars);
-        pace_tensor::opt::optimize_if_enabled(g, &opt_outputs, bind.vars(), context);
         let mut grads: Vec<Matrix> = grad_vars.iter().map(|&v| g.value(v).clone()).collect();
         sanitize(&mut grads);
         clip_global_norm(&mut grads, self.config.clip_norm);
         // Fault hook after sanitize/clip: an injected NaN reaches the
         // optimizer exactly as a genuinely broken gradient would. `context`
-        // doubles as the fault site, so specs can target one attack loop.
+        // is the fault site, so specs can target one attack loop.
         fault::poison_grads(context, &mut grads);
         self.adam.step(&mut self.params, &grads);
     }

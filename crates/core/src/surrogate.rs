@@ -508,14 +508,6 @@ pub fn train_surrogate(
             };
             pace_tensor::analysis::audit_if_enabled(&g, loss, bind.vars(), "surrogate::imitate");
             let grad_vars = g.grad(loss, bind.vars());
-            let mut opt_outputs = vec![loss];
-            opt_outputs.extend(&grad_vars);
-            pace_tensor::opt::optimize_if_enabled(
-                &g,
-                &opt_outputs,
-                bind.vars(),
-                "surrogate::imitate",
-            );
             let loss_value = g.value(loss).as_scalar();
             let mut grads: Vec<Matrix> = grad_vars.iter().map(|&v| g.value(v).clone()).collect();
             sanitize(&mut grads);

@@ -176,25 +176,6 @@ fn item_ns(c: &CostConstants, r: &RegionCost) -> f64 {
     compute.max(traffic).max(0.5)
 }
 
-/// Predicted sequential nanoseconds for the whole region.
-pub fn predicted_seq_ns(r: &RegionCost) -> f64 {
-    let c = constants();
-    item_ns(&c, r) * r.items as f64
-}
-
-/// Predicted speedup of the region if parallelized (Amdahl-free upper
-/// bound: effective parallelism discounted by dispatch overhead). Used by
-/// reporting; [`decide`] applies the go/no-go thresholds.
-pub fn predicted_speedup(r: &RegionCost) -> f64 {
-    let c = constants();
-    let seq = item_ns(&c, r) * r.items as f64;
-    if seq <= 0.0 {
-        return 1.0;
-    }
-    let par = seq / c.effective_parallelism + c.dispatch_ns;
-    (seq / par).max(0.0)
-}
-
 /// How many dispatch costs a region must be predicted to cover before the
 /// oracle will fan it out.
 const MIN_DISPATCH_RATIO: f64 = 4.0;

@@ -20,7 +20,7 @@
 //!
 //! Consequently `PACE_THREADS=1` and `PACE_THREADS=64` runs of labeling,
 //! training, and campaigns are byte-identical — the property the chaos
-//! matrix, campaign resume, and tape-replay parity gates all rely on
+//! matrix and campaign resume gates rely on
 //! (`cargo run -p xtask -- determinism` checks it in CI).
 //!
 //! # Concurrency-safety instrumentation

@@ -306,7 +306,7 @@ pub fn inferred_shape(g: &Graph, v: Var) -> Result<(usize, usize), String> {
         Op::Maximum(a, b) => same(a, b, "Maximum"),
         Op::Minimum(a, b) => same(a, b, "Minimum"),
         Op::Neg(a)
-        | Op::AddScalar(a, _)
+        | Op::AddScalar(a)
         | Op::MulScalar(a, _)
         | Op::PowScalar(a, _)
         | Op::Sigmoid(a)

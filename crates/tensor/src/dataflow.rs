@@ -1,241 +1,14 @@
-//! Dataflow analyses over the autograd tape IR.
+//! The static FLOP/byte cost model of the autograd tape.
 //!
 //! The tape ([`crate::Graph`]) is a pure, append-only SSA program: every node
 //! is defined exactly once, operands always precede consumers, and node
-//! indices double as topological order. That makes the classic compiler
-//! analyses almost free, and this module computes the four the optimizing
-//! pass pipeline ([`crate::opt`]) is built on:
-//!
-//! * **Use-def chains** ([`use_def`]) — for every node, the operands it reads
-//!   (defs it uses) and the consumers that read it (its uses);
-//! * **Liveness** ([`liveness`]) — reverse-topological live intervals: the
-//!   tape position at which each value dies, plus the peak number of bytes
-//!   simultaneously live under an alloc-at-def / free-at-last-use discipline
-//!   (the memory high-water mark a buffer-reusing executor can reach);
-//! * **Available expressions** ([`available_expr_sources`]) — structural
-//!   hashing of `(op, operands, scalar/size payloads)` ([`ExprKey`]) that
-//!   maps every node to the earliest node computing the same value, the
-//!   substrate of common-subexpression elimination;
-//! * **Static cost model** ([`node_cost`], [`tape_cost`]) — estimated FLOPs
-//!   and output bytes per node from operand shapes alone.
-//!
-//! All analyses are read-only; none require executing the tape.
+//! indices double as topological order. [`node_cost`] estimates one node's
+//! FLOPs and bytes moved from its operand shapes alone; [`tape_cost`] sums
+//! them over the sub-tape an output set depends on. Neither executes the
+//! tape.
 
 use crate::grad::op_inputs;
 use crate::graph::{Graph, Op, Var};
-use std::collections::HashMap;
-
-/// The operands every node reads and the consumers that read it.
-#[derive(Clone, Debug, Default)]
-pub struct UseDef {
-    /// `operands[i]` — tape indices node `i` reads (its use of earlier defs).
-    pub operands: Vec<Vec<usize>>,
-    /// `uses[i]` — tape indices of the nodes that read node `i`.
-    pub uses: Vec<Vec<usize>>,
-}
-
-/// Builds use-def chains for the whole tape in one forward pass.
-pub fn use_def(g: &Graph) -> UseDef {
-    let n = g.len();
-    let mut ud = UseDef {
-        operands: Vec::with_capacity(n),
-        uses: vec![Vec::new(); n],
-    };
-    for i in 0..n {
-        let ops: Vec<usize> = op_inputs(g.op(Var::from_index(i)))
-            .iter()
-            .map(|v| v.index())
-            .collect();
-        for &o in &ops {
-            ud.uses[o].push(i);
-        }
-        ud.operands.push(ops);
-    }
-    ud
-}
-
-/// Public view of a node's operand list (the tape edges), by index.
-pub fn operands(g: &Graph, v: Var) -> Vec<Var> {
-    op_inputs(g.op(v)).to_vec()
-}
-
-/// Live intervals of every tape value relative to a set of root outputs.
-#[derive(Clone, Debug)]
-pub struct Liveness {
-    /// Whether each node is an ancestor of (or is) one of the outputs.
-    pub reachable: Vec<bool>,
-    /// Tape index of the last consumer of each reachable node; outputs (and
-    /// only outputs) carry `usize::MAX` — they stay live past the end.
-    /// Unreachable nodes carry their own index (they die at definition).
-    pub last_use: Vec<usize>,
-    /// Peak bytes simultaneously live when values are materialized at their
-    /// defining index and freed right after their last use.
-    pub peak_live_bytes: usize,
-}
-
-/// Computes [`Liveness`] for the sub-tape reachable from `outputs`.
-pub fn liveness(g: &Graph, outputs: &[Var]) -> Liveness {
-    let n = g.len();
-    let mut reachable = vec![false; n];
-    let mut stack: Vec<Var> = outputs.iter().copied().filter(|v| v.index() < n).collect();
-    while let Some(v) = stack.pop() {
-        if reachable[v.index()] {
-            continue;
-        }
-        reachable[v.index()] = true;
-        for inp in op_inputs(g.op(v)) {
-            if !reachable[inp.index()] {
-                stack.push(inp);
-            }
-        }
-    }
-
-    let mut last_use: Vec<usize> = (0..n).collect();
-    for (i, &r) in reachable.iter().enumerate() {
-        if !r {
-            continue;
-        }
-        for inp in op_inputs(g.op(Var::from_index(i))) {
-            last_use[inp.index()] = last_use[inp.index()].max(i);
-        }
-    }
-    for out in outputs {
-        if out.index() < n {
-            last_use[out.index()] = usize::MAX;
-        }
-    }
-
-    // Forward sweep: allocate at def, free after last use.
-    let mut live_bytes = 0usize;
-    let mut peak = 0usize;
-    let mut frees: HashMap<usize, Vec<usize>> = HashMap::new();
-    for i in 0..n {
-        if !reachable[i] {
-            continue;
-        }
-        live_bytes += value_bytes(g, Var::from_index(i));
-        peak = peak.max(live_bytes);
-        if last_use[i] != usize::MAX {
-            frees.entry(last_use[i]).or_default().push(i);
-        }
-        if let Some(dead) = frees.remove(&i) {
-            for d in dead {
-                live_bytes -= value_bytes(g, Var::from_index(d));
-            }
-        }
-    }
-
-    Liveness {
-        reachable,
-        last_use,
-        peak_live_bytes: peak,
-    }
-}
-
-fn value_bytes(g: &Graph, v: Var) -> usize {
-    let (r, c) = g.shape(v);
-    r * c * size_of::<f32>()
-}
-
-// ---- available expressions -------------------------------------------------
-
-/// Structural identity of a non-leaf node: op kind, canonical operand ids,
-/// and every scalar/size payload the op carries. Two nodes with equal keys
-/// compute equal values (all tape ops are pure and deterministic).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct ExprKey {
-    name: &'static str,
-    operands: Vec<usize>,
-    /// `f32` payloads as raw bits (exact identity, no NaN/−0 hazards).
-    scalars: Vec<u32>,
-    sizes: Vec<usize>,
-}
-
-/// Builds the structural key of a non-leaf op, remapping each operand index
-/// through `remap` (identity for plain availability, the canonicalization
-/// map inside CSE). Returns `None` for [`Op::Leaf`] — leaf identity is the
-/// stored *value*, not structure, and is interned separately by the passes.
-pub(crate) fn expr_key_with(op: &Op, remap: &mut dyn FnMut(usize) -> usize) -> Option<ExprKey> {
-    let mut key = ExprKey {
-        name: op.name(),
-        operands: op_inputs(op).iter().map(|v| remap(v.index())).collect(),
-        scalars: Vec::new(),
-        sizes: Vec::new(),
-    };
-    match *op {
-        Op::Leaf => return None,
-        // Structure fully captured by name + operands.
-        Op::Add(..)
-        | Op::Sub(..)
-        | Op::Mul(..)
-        | Op::Div(..)
-        | Op::Neg(_)
-        | Op::MatMul(..)
-        | Op::Transpose(_)
-        | Op::Sigmoid(_)
-        | Op::Tanh(_)
-        | Op::Relu(_)
-        | Op::Exp(_)
-        | Op::Ln(_)
-        | Op::Sqrt(_)
-        | Op::Abs(_)
-        | Op::Maximum(..)
-        | Op::Minimum(..)
-        | Op::SumAll(_)
-        | Op::MeanAll(_)
-        | Op::SumRows(_)
-        | Op::MeanRows(_)
-        | Op::AddRow(..)
-        | Op::MulRow(..)
-        | Op::MulCol(..)
-        | Op::SumCols(_)
-        | Op::ConcatCols(_)
-        | Op::ConcatRows(_) => {}
-        // Scalar payloads.
-        Op::AddScalar(_, c) | Op::MulScalar(_, c) | Op::PowScalar(_, c) => {
-            key.scalars.push(c.to_bits());
-        }
-        // Size payloads.
-        Op::RepeatRows(_, n) | Op::RepeatCols(_, n) => key.sizes.push(n),
-        Op::BroadcastScalar(_, r, c) => key.sizes.extend([r, c]),
-        Op::SliceCols(_, s, e) | Op::SliceRows(_, s, e) => key.sizes.extend([s, e]),
-    }
-    Some(key)
-}
-
-/// For every node, the earliest tape index computing a structurally identical
-/// expression (`source[i] == i` when node `i` is the first of its kind).
-/// Designated `inputs` and leaves are their own sources; equal-valued leaves
-/// are *not* merged here — value interning is a pass decision, not an
-/// analysis fact.
-pub fn available_expr_sources(g: &Graph, inputs: &[Var]) -> Vec<usize> {
-    let is_input: Vec<bool> = {
-        let mut m = vec![false; g.len()];
-        for v in inputs {
-            if v.index() < g.len() {
-                m[v.index()] = true;
-            }
-        }
-        m
-    };
-    let mut source: Vec<usize> = (0..g.len()).collect();
-    let mut table: HashMap<ExprKey, usize> = HashMap::new();
-    for i in 0..g.len() {
-        if is_input[i] {
-            continue;
-        }
-        let mut remap = |j: usize| source[j];
-        if let Some(key) = expr_key_with(g.op(Var::from_index(i)), &mut remap) {
-            match table.get(&key) {
-                Some(&first) => source[i] = first,
-                None => {
-                    table.insert(key, i);
-                }
-            }
-        }
-    }
-    source
-}
 
 // ---- static cost model ------------------------------------------------------
 
@@ -249,8 +22,7 @@ pub struct Cost {
     pub out_bytes: usize,
     /// Bytes of every operand the node reads (summed over occurrences). A
     /// bandwidth-bound elementwise step moves `in_bytes + out_bytes`, not
-    /// `out_bytes` — the scheduler's stage totals and the fusion replay
-    /// model count both sides.
+    /// `out_bytes` alone.
     pub in_bytes: usize,
 }
 
@@ -274,7 +46,7 @@ pub fn node_cost(g: &Graph, v: Var) -> Cost {
         | Op::Maximum(..)
         | Op::Minimum(..)
         | Op::Neg(_)
-        | Op::AddScalar(..)
+        | Op::AddScalar(_)
         | Op::MulScalar(..)
         | Op::Relu(_)
         | Op::Abs(_)
@@ -312,115 +84,24 @@ pub fn node_cost(g: &Graph, v: Var) -> Cost {
 
 /// Summed [`node_cost`] over the nodes reachable from `outputs`.
 pub fn tape_cost(g: &Graph, outputs: &[Var]) -> Cost {
-    let live = liveness(g, outputs);
+    let mut reachable = vec![false; g.len()];
+    let mut stack: Vec<Var> = outputs
+        .iter()
+        .copied()
+        .filter(|v| v.index() < g.len())
+        .collect();
     let mut total = Cost::default();
-    for (i, &r) in live.reachable.iter().enumerate() {
-        if r {
-            let c = node_cost(g, Var::from_index(i));
-            total.flops += c.flops;
-            total.out_bytes += c.out_bytes;
-            total.in_bytes += c.in_bytes;
+    while let Some(v) = stack.pop() {
+        if std::mem::replace(&mut reachable[v.index()], true) {
+            continue;
         }
+        let c = node_cost(g, v);
+        total.flops += c.flops;
+        total.out_bytes += c.out_bytes;
+        total.in_bytes += c.in_bytes;
+        stack.extend(op_inputs(g.op(v)).iter().filter(|x| !reachable[x.index()]));
     }
     total
-}
-
-// ---- arena-slot interference ------------------------------------------------
-
-/// One plan step's claim on an arena slot: the step writes `slot` at plan
-/// index `step`, and the value it produces is last read at plan index
-/// `last_use` (`usize::MAX` for plan outputs, which stay live past the end).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotStep {
-    /// Plan index of the step that writes the slot.
-    pub step: usize,
-    /// Arena slot the step writes.
-    pub slot: usize,
-    /// Plan index of the last read of the produced value (`usize::MAX` for
-    /// outputs).
-    pub last_use: usize,
-}
-
-/// Two steps whose liveness intervals collide on one arena slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotInterference {
-    /// The contested arena slot.
-    pub slot: usize,
-    /// The earlier writer, still live when the slot is reassigned.
-    pub first: SlotStep,
-    /// The later writer that takes the slot too early.
-    pub second: SlotStep,
-}
-
-impl std::fmt::Display for SlotInterference {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "arena slot {} interference: step {} (live through {}) vs step {}",
-            self.slot, self.first.step, self.first.last_use, self.second.step
-        )
-    }
-}
-
-/// Size of a clean interference check, for reporting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InterferenceStats {
-    /// Slot-writing steps examined.
-    pub steps: usize,
-    /// Distinct arena slots in use.
-    pub slots: usize,
-    /// Consecutive same-slot reuse pairs checked.
-    pub checked_pairs: usize,
-}
-
-/// Proves the buffer-reuse arena assignment race-free: no arena slot is
-/// handed to a step while a previous tenant of that slot is still live.
-///
-/// For two steps `s1 < s2` sharing a slot, safety requires
-/// `last_use(s1) < s2` **strictly**: at `last_use(s1) == s2` the step would
-/// read its operand out of the very buffer it is writing, and any overlap
-/// beyond that clobbers a live value outright. Under that condition every
-/// chunk grid a step's internal fan-out may choose is safe — each step owns
-/// its destination slot exclusively for its whole execution, so intra-step
-/// parallelism can never alias another live value. Plan outputs carry
-/// `last_use == usize::MAX` and must never be reassigned at all.
-///
-/// # Errors
-/// Returns every colliding pair (not just the first) when the assignment is
-/// dirty.
-pub fn check_slot_interference(
-    steps: &[SlotStep],
-) -> Result<InterferenceStats, Vec<SlotInterference>> {
-    let mut by_slot: HashMap<usize, Vec<SlotStep>> = HashMap::new();
-    for s in steps {
-        by_slot.entry(s.slot).or_default().push(*s);
-    }
-    let mut stats = InterferenceStats {
-        steps: steps.len(),
-        slots: by_slot.len(),
-        checked_pairs: 0,
-    };
-    let mut violations = Vec::new();
-    for tenants in by_slot.values_mut() {
-        tenants.sort_by_key(|s| s.step);
-        for pair in tenants.windows(2) {
-            stats.checked_pairs += 1;
-            let (first, second) = (pair[0], pair[1]);
-            if first.last_use >= second.step {
-                violations.push(SlotInterference {
-                    slot: first.slot,
-                    first,
-                    second,
-                });
-            }
-        }
-    }
-    if violations.is_empty() {
-        Ok(stats)
-    } else {
-        violations.sort_by_key(|v| (v.second.step, v.slot));
-        Err(violations)
-    }
 }
 
 #[cfg(test)]
@@ -428,148 +109,18 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
 
-    fn small_graph() -> (Graph, Var, Var, Var, Var) {
+    #[test]
+    fn cost_model_matmul_and_transcendentals() {
         let mut g = Graph::new();
         let x = g.leaf(Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
         let w = g.leaf(Matrix::from_vec(3, 2, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]));
-        let h = g.matmul(x, w); // n2
-        let s = g.sigmoid(h); // n3
-        let out = g.sum_all(s); // n4
-        (g, x, w, h, out)
-    }
-
-    #[test]
-    fn use_def_chains_match_structure() {
-        let (g, x, w, h, out) = small_graph();
-        let ud = use_def(&g);
-        assert_eq!(ud.operands[h.index()], vec![x.index(), w.index()]);
-        assert_eq!(ud.uses[x.index()], vec![h.index()]);
-        assert_eq!(ud.uses[h.index()], vec![h.index() + 1]);
-        assert!(ud.uses[out.index()].is_empty());
-        assert_eq!(operands(&g, h), vec![x, w]);
-    }
-
-    #[test]
-    fn liveness_intervals_and_peak() {
-        let (g, x, _w, h, out) = small_graph();
-        let live = liveness(&g, &[out]);
-        assert!(live.reachable.iter().all(|&r| r));
-        assert_eq!(live.last_use[x.index()], h.index());
-        assert_eq!(live.last_use[out.index()], usize::MAX);
-        // Peak must cover every co-live pair but stay below the whole tape.
-        let all: usize = (0..g.len())
-            .map(|i| g.value(Var::from_index(i)).len() * size_of::<f32>())
-            .sum();
-        assert!(live.peak_live_bytes > 0 && live.peak_live_bytes <= all);
-    }
-
-    #[test]
-    fn liveness_marks_detached_nodes() {
-        let mut g = Graph::new();
-        let x = g.leaf(Matrix::row(&[1.0, 2.0]));
-        let dead = g.neg(x);
-        let y = g.mul(x, x);
-        let out = g.sum_all(y);
-        let live = liveness(&g, &[out]);
-        assert!(!live.reachable[dead.index()]);
-        assert!(live.reachable[y.index()]);
-    }
-
-    #[test]
-    fn available_sources_find_duplicates() {
-        let mut g = Graph::new();
-        let x = g.leaf(Matrix::row(&[1.0, 2.0]));
-        let a = g.sigmoid(x);
-        let b = g.sigmoid(x); // structurally identical
-        let c = g.add(a, b);
-        let src = available_expr_sources(&g, &[x]);
-        assert_eq!(src[b.index()], a.index());
-        assert_eq!(src[a.index()], a.index());
-        assert_eq!(src[c.index()], c.index());
-    }
-
-    #[test]
-    fn available_sources_chase_through_chains() {
-        // Duplicated two-op chains canonicalize bottom-up: the second chain's
-        // tail maps to the first chain's tail.
-        let mut g = Graph::new();
-        let x = g.leaf(Matrix::row(&[0.5, 1.5]));
-        let a1 = g.exp(x);
-        let b1 = g.mul_scalar(a1, 2.0);
-        let a2 = g.exp(x);
-        let b2 = g.mul_scalar(a2, 2.0);
-        let different = g.mul_scalar(a2, 3.0);
-        let src = available_expr_sources(&g, &[x]);
-        assert_eq!(src[a2.index()], a1.index());
-        assert_eq!(src[b2.index()], b1.index());
-        assert_eq!(src[different.index()], different.index());
-    }
-
-    #[test]
-    fn scalar_payload_distinguishes_expressions() {
-        let mut g = Graph::new();
-        let x = g.leaf(Matrix::row(&[1.0]));
-        let a = g.add_scalar(x, 1.0);
-        let b = g.add_scalar(x, 2.0);
-        let src = available_expr_sources(&g, &[x]);
-        assert_eq!(src[a.index()], a.index());
-        assert_eq!(src[b.index()], b.index());
-    }
-
-    fn slot(step: usize, slot: usize, last_use: usize) -> SlotStep {
-        SlotStep {
-            step,
-            slot,
-            last_use,
-        }
-    }
-
-    #[test]
-    fn interference_clean_reuse_passes() {
-        // Slot 0 is reused twice, each time strictly after the previous
-        // tenant's last use; slot 1 holds an output and is never reused.
-        let steps = [
-            slot(0, 0, 1),
-            slot(2, 0, 3),
-            slot(4, 0, 5),
-            slot(1, 1, usize::MAX),
-        ];
-        let stats = check_slot_interference(&steps).expect("clean assignment");
-        assert_eq!(stats.steps, 4);
-        assert_eq!(stats.slots, 2);
-        assert_eq!(stats.checked_pairs, 2);
-    }
-
-    #[test]
-    fn interference_catches_live_overlap_and_exact_touch() {
-        // Step 5 takes slot 0 while step 0's value is live through step 7.
-        let overlap = [slot(0, 0, 7), slot(5, 0, 6)];
-        let v = check_slot_interference(&overlap).expect_err("overlap");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].slot, 0);
-        assert_eq!((v[0].first.step, v[0].second.step), (0, 5));
-        // Reassignment exactly at the last use is also unsafe: the new step
-        // would read its operand out of the buffer it writes.
-        let touch = [slot(0, 3, 4), slot(4, 3, 9)];
-        assert_eq!(check_slot_interference(&touch).expect_err("touch").len(), 1);
-        // An output slot (live forever) must never be reassigned.
-        let output = [slot(0, 2, usize::MAX), slot(9, 2, 10)];
-        assert_eq!(
-            check_slot_interference(&output)
-                .expect_err("output reuse")
-                .len(),
-            1
-        );
-    }
-
-    #[test]
-    fn cost_model_matmul_and_transcendentals() {
-        let (g, _x, _w, h, out) = small_graph();
+        let h = g.matmul(x, w);
+        let sig = g.sigmoid(h);
+        let out = g.sum_all(sig);
         assert_eq!(node_cost(&g, h).flops, 2 * 2 * 3 * 2);
         assert_eq!(node_cost(&g, h).out_bytes, 2 * 2 * 4);
         // MatMul reads the (2,3) and (3,2) operands: 12 floats.
         assert_eq!(node_cost(&g, h).in_bytes, (6 + 6) * 4);
-        let sig = Var::from_index(h.index() + 1);
         assert_eq!(node_cost(&g, sig).flops, 4 * TRANSCENDENTAL_FLOPS);
         // Sigmoid reads its (2,2) operand and writes (2,2): both sides count.
         assert_eq!(node_cost(&g, sig).in_bytes, 2 * 2 * 4);

@@ -9,10 +9,10 @@
 //!
 //! * `0` (or unset, or anything unrecognized) — off;
 //! * `1` / `true` / `on` — enabled: findings are *reported* (a dirty audit
-//!   or a pass-verification mismatch prints to stderr, execution continues);
-//! * `strict` — enabled, and findings are *fatal*: a dirty audit or an
-//!   optimized-replay mismatch panics at the choke point, so CI and
-//!   experiment runs cannot silently proceed on a corrupted tape.
+//!   prints to stderr, execution continues);
+//! * `strict` — enabled, and findings are *fatal*: a dirty audit panics at
+//!   the choke point, so CI and experiment runs cannot silently proceed on
+//!   a corrupted tape.
 //!
 //! Each env variable is read once, on first query; tests and embedders can
 //! override at any time with [`EnvFlag::set`] / [`EnvSpec::set`].
@@ -21,9 +21,6 @@ pub use pace_runtime::flags::{EnvFlag, EnvSpec, FlagMode};
 
 /// The tape-auditor switch (`PACE_AUDIT`); see [`crate::analysis`].
 pub static AUDIT: EnvFlag = EnvFlag::new("PACE_AUDIT");
-
-/// The optimizing-pipeline switch (`PACE_OPT`); see [`crate::opt`].
-pub static OPT: EnvFlag = EnvFlag::new("PACE_OPT");
 
 /// The snapshot finiteness gate (`PACE_FINITE`); when enabled,
 /// [`crate::serialize`] readers reject payloads containing NaN/Inf values

@@ -71,7 +71,7 @@ pub(crate) fn op_inputs(op: &Op) -> Operands<'_> {
         | Op::MulRow(a, b)
         | Op::MulCol(a, b) => Operands::Inline([*a, *b], 2),
         Op::Neg(a)
-        | Op::AddScalar(a, _)
+        | Op::AddScalar(a)
         | Op::MulScalar(a, _)
         | Op::PowScalar(a, _)
         | Op::Transpose(a)
@@ -292,7 +292,7 @@ impl Graph {
                 let ga = self.neg(g);
                 self.add_grad(grads, a, ga);
             }
-            Op::AddScalar(a, _) => self.add_grad(grads, a, g),
+            Op::AddScalar(a) => self.add_grad(grads, a, g),
             Op::MulScalar(a, c) => {
                 let ga = self.mul_scalar(g, c);
                 self.add_grad(grads, a, ga);

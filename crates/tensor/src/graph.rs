@@ -39,7 +39,7 @@ pub(crate) enum Op {
     Mul(Var, Var),
     Div(Var, Var),
     Neg(Var),
-    AddScalar(Var, f32),
+    AddScalar(Var),
     MulScalar(Var, f32),
     PowScalar(Var, f32),
     MatMul(Var, Var),
@@ -282,7 +282,7 @@ impl Graph {
     /// Adds a scalar constant to every element.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
         let v = self.nodes[a.0].value.map(|x| x + c);
-        self.push(Op::AddScalar(a, c), v)
+        self.push(Op::AddScalar(a), v)
     }
 
     /// Multiplies every element by a scalar constant.

@@ -16,10 +16,8 @@
 //! * [`check`] — finite-difference gradient checkers used by test suites;
 //! * [`analysis`] — the tape auditor (`PACE_AUDIT`): shape inference,
 //!   numerical-hazard scan, zero-gradient detection, double-backward closure;
-//! * [`dataflow`] / [`opt`] — compiler-style static analyses (use-def,
-//!   liveness, available expressions, cost model) and the verified
-//!   optimizing pass pipeline (`PACE_OPT`): constant folding, CSE, dead-node
-//!   elimination, liveness-driven buffer reuse, replay verification;
+//! * [`dataflow`] — the static FLOP/byte cost model of a tape, computed
+//!   from operand shapes alone;
 //! * [`flags`] — the shared `0/1/strict` environment-flag grammar;
 //! * [`fault`] — deterministic, seeded fault injection (`PACE_FAULTS`) for
 //!   chaos-testing the campaign runtime's recovery paths;
@@ -29,18 +27,16 @@
 //!   labeling bit-identical to sequential execution at any thread count.
 //!   Its concurrency-safety auditor rides along: `PACE_RACE` verifies every
 //!   fan-out's write set (pairwise-disjoint, exact cover), `PACE_SCHED`
-//!   fuzzes chunk-pull order with an adversarial seeded scheduler, and the
-//!   [`dataflow`] arena-interference check proves the optimizer's
-//!   buffer-reuse plans free of liveness overlaps;
-//! * [`sched`] — the static tape scheduler: a dependence DAG (use-def RAW
-//!   plus WAR/WAW from arena-slot reuse) partitioned into proved-independent
-//!   level-set stages, with a calibrated profitability oracle
-//!   (`pace_runtime::cost`, `PACE_SCHED_COST`) deciding which stages — and
-//!   which kernels — are worth fanning out;
+//!   fuzzes chunk-pull order with an adversarial seeded scheduler, and a
+//!   calibrated profitability oracle (`pace_runtime::cost`,
+//!   `PACE_SCHED_COST`) decides which kernels are worth fanning out;
 //! * [`trace`] — the structured tracing and metrics layer (`PACE_TRACE`,
-//!   re-exported from `pace-trace`): scoped spans, lock-free
-//!   counters/histograms, and per-op tape profiles, all emitted as JSONL
-//!   and guaranteed not to perturb results.
+//!   re-exported from `pace-trace`): scoped spans and lock-free
+//!   counters/histograms, emitted as JSONL and guaranteed not to perturb
+//!   results.
+//!
+//! The eager [`Graph`] is the only executor: every value, gradient and
+//! hypergradient is computed as its node is appended.
 //!
 //! # Example
 //!
@@ -66,16 +62,13 @@ pub mod check;
 pub mod dataflow;
 pub mod fault;
 pub mod flags;
-pub mod fuse;
 mod grad;
 mod graph;
 pub mod init;
 mod matrix;
 pub mod nn;
-pub mod opt;
 pub mod optim;
 mod param;
-pub mod sched;
 pub mod serialize;
 
 pub use graph::{Graph, Var};

@@ -8,8 +8,7 @@
 //! deterministic pool ([`crate::pool`]) above a size threshold. Both the
 //! chunk grid and the per-element accumulation order are derived from the
 //! input shape alone, so parallel results are bit-identical to sequential
-//! ones at every `PACE_THREADS` setting, and the optimized-tape replay
-//! interpreter ([`crate::opt`]) reuses the same kernel for exact parity.
+//! ones at every `PACE_THREADS` setting.
 
 use pace_runtime as pool;
 use std::fmt;
@@ -108,9 +107,8 @@ pub(crate) fn matmul_flop_count(n: usize, k: usize, m: usize) -> u64 {
 }
 
 /// Writes `a · b` into `dst`, reusing `dst`'s allocation. This is the one
-/// matmul kernel in the workspace: [`Matrix::matmul`] and the replay
-/// interpreter ([`crate::opt`]) both call it, so eager, replayed, sequential
-/// and parallel products are bit-identical.
+/// matmul kernel in the workspace: [`Matrix::matmul`] calls it, so
+/// sequential and parallel products are bit-identical.
 ///
 /// # Panics
 /// Panics when inner dimensions differ.
@@ -415,8 +413,7 @@ impl Matrix {
         out
     }
 
-    /// Transposed copy — the tiled kernel ([`transpose_into`]), shared with
-    /// the optimized-tape replay interpreter.
+    /// Transposed copy — the tiled kernel ([`transpose_into`]).
     pub fn transpose(&self) -> Self {
         let mut out = Self {
             rows: 0,
@@ -550,8 +547,8 @@ impl Matrix {
 
     /// Reshapes this matrix in place to `rows×cols`, reusing the existing
     /// allocation where possible. Element contents are unspecified afterwards;
-    /// callers must overwrite every element. Used by the optimized-tape
-    /// replay interpreter ([`crate::opt`]) to recycle arena buffers.
+    /// callers must overwrite every element. Used by [`matmul_into`] to
+    /// size its destination.
     pub(crate) fn reset_shape(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;

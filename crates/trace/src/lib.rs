@@ -4,23 +4,20 @@
 //! The campaign runtime spends its budget in a handful of hot loops — CE
 //! training steps, hypergradient unrolls, oracle probes, exact-count waves —
 //! and this crate records *where* that budget goes without ever perturbing
-//! what the loops compute. It provides three primitives:
+//! what the loops compute. It provides two primitives:
 //!
 //! * **Scoped spans** ([`span`] / [`span_at`]): RAII guards that record a
 //!   monotonic wall-time interval with thread attribution and nesting depth,
 //!   emitted as one JSONL line per span when the guard drops.
 //! * **Lock-free counters and histograms** ([`Counter`], [`Histogram`]):
-//!   process-global atomics for hot-path tallies (matmul FLOPs, tape-replay
-//!   node visits, pool chunk utilization, oracle probes/retries/breaker
-//!   trips, checkpoint rollbacks). Snapshots are appended to the trace by
+//!   process-global atomics for hot-path tallies (matmul FLOPs, autograd
+//!   nodes, pool chunk utilization, oracle probes/retries/breaker trips,
+//!   checkpoint rollbacks). Snapshots are appended to the trace by
 //!   [`flush`].
-//! * **Per-op profile events** ([`emit_op_profile`]): join points between
-//!   the tape's static FLOP/byte cost model and measured replay time,
-//!   emitted by `pace_tensor::opt`'s profiled replay.
 //!
 //! # The `PACE_TRACE` flag
 //!
-//! The crate joins the `PACE_AUDIT`/`PACE_OPT`/`PACE_FAULTS` env-flag
+//! The crate joins the `PACE_AUDIT`/`PACE_FAULTS` env-flag
 //! family (`pace_tensor::flags`): unset, empty, or `0` means off; `1`,
 //! `true`, or `on` enables tracing to [`DEFAULT_TRACE_PATH`] in the current
 //! directory; any other value is a file path to write to. The variable is
@@ -46,7 +43,6 @@
 //! {"ev":"span","name":"campaign::wave","idx":3,"tid":0,"depth":1,"start_ns":12345,"dur_ns":678,"seq":9}
 //! {"ev":"counter","name":"oracle_probes","value":181}
 //! {"ev":"hist","name":"pool_chunks_per_worker","bucket_lo":8,"count":4}
-//! {"ev":"op","ctx":"attack::hypergradient","op":"MatMul","count":96,"flops":1228800,"out_bytes":49152,"measured_ns":40210}
 //! ```
 //!
 //! `start_ns`/`dur_ns` are nanoseconds on one process-global monotonic
@@ -299,36 +295,6 @@ fn write_line(s: &mut SinkState, fields: &[(&str, Val<'_>)]) {
     let _ = out.flush();
 }
 
-/// Emits one per-op profile line joining the static cost model against
-/// measured replay time (see `pace_tensor::opt`'s profiled replay). No-op
-/// when disarmed.
-pub fn emit_op_profile(
-    ctx: &str,
-    op: &'static str,
-    count: u64,
-    flops: u64,
-    out_bytes: u64,
-    measured_ns: u64,
-) {
-    if disarmed() {
-        return;
-    }
-    with_sink(|s| {
-        write_line(
-            s,
-            &[
-                ("ev", Val::S("op")),
-                ("ctx", Val::S(ctx)),
-                ("op", Val::S(op)),
-                ("count", Val::U(count)),
-                ("flops", Val::U(flops)),
-                ("out_bytes", Val::U(out_bytes)),
-                ("measured_ns", Val::U(measured_ns)),
-            ],
-        );
-    });
-}
-
 // ---- spans ------------------------------------------------------------------
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
@@ -538,8 +504,6 @@ impl Histogram {
 
 /// FLOPs executed by the matmul kernel (2·n·k·m per product).
 pub static MATMUL_FLOPS: Counter = Counter::new("matmul_flops");
-/// Plan steps executed by tape-replay (`pace_tensor::opt`).
-pub static REPLAY_NODE_VISITS: Counter = Counter::new("replay_node_visits");
 /// Nodes appended to eager tapes by reverse-mode differentiation
 /// (`pace_tensor::Graph::grad_seeded`): the VJP pieces, seeds, masks and
 /// zero gradients one backward pass builds.
@@ -610,9 +574,8 @@ pub static SERVE_QUEUE_DEPTH: Histogram = Histogram::new("serve_queue_depth");
 pub static SERVE_BATCH_SIZE: Histogram = Histogram::new("serve_batch_size");
 
 /// Every registered counter, in emission order.
-pub static COUNTERS: [&Counter; 20] = [
+pub static COUNTERS: [&Counter; 19] = [
     &MATMUL_FLOPS,
-    &REPLAY_NODE_VISITS,
     &GRAD_NODES,
     &POOL_TASKS,
     &ORACLE_PROBES,
@@ -770,25 +733,21 @@ mod tests {
         let _g = lock();
         let path = temp_trace("roundtrip");
         install(Some(path.clone()));
-        emit_op_profile("ctx \"quoted\"\n", "MatMul", 4, 1024, 512, 99);
+        drop(span_at("span \"quoted\"\n", 1024));
         flush();
         install(None);
         let text = std::fs::read_to_string(&path).expect("trace file exists");
         let _ = std::fs::remove_file(&path);
-        let op = text
+        let ev = text
             .lines()
             .filter_map(read::parse_line)
-            .find(|e| e.get("ev").and_then(read::Value::as_str) == Some("op"))
-            .expect("op event present");
+            .find(|e| e.get("ev").and_then(read::Value::as_str) == Some("span"))
+            .expect("span event present");
         assert_eq!(
-            op.get("ctx").and_then(read::Value::as_str),
-            Some("ctx \"quoted\"\n")
+            ev.get("name").and_then(read::Value::as_str),
+            Some("span \"quoted\"\n")
         );
-        assert_eq!(op.get("flops").and_then(read::Value::as_u64), Some(1024));
-        assert_eq!(
-            op.get("measured_ns").and_then(read::Value::as_u64),
-            Some(99)
-        );
+        assert_eq!(ev.get("idx").and_then(read::Value::as_u64), Some(1024));
     }
 
     #[test]
