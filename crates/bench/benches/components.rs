@@ -166,6 +166,26 @@ fn bench_models(c: &mut Criterion) {
             });
         }
     }
+    // The pairs perfbench serves, where TPC-H understates the per-batch
+    // work: LSTM over IMDB's longer join sequences and MSCN over STATS's
+    // predicate sets.
+    for (name, kind, ty) in [
+        ("imdb", DatasetKind::Imdb, CeModelType::Lstm),
+        ("stats", DatasetKind::Stats, CeModelType::Mscn),
+    ] {
+        let ds = build(kind, Scale::quick(), 4);
+        let exec = Executor::new(&ds);
+        let labeled = exec.label_nonzero(generate_queries(&ds, &spec, &mut rng, 32));
+        let encs = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled).enc;
+        let model = CeModel::new(ty, &ds, CeConfig::quick(), 6);
+        for n in [1, 4, 16] {
+            let batch = &encs[..n];
+            let id = format!("models/{}_{name}_estimate_batch_{n}", ty.name());
+            c.bench_function(&id, |b| {
+                b.iter(|| black_box(model.estimate_encoded_batch(batch)))
+            });
+        }
+    }
     c.bench_function("models/fcn_update_10_steps", |b| {
         b.iter_batched(
             || CeModel::new(CeModelType::Fcn, &ds, CeConfig::quick(), 7),

@@ -5,7 +5,9 @@
 //! (`n × 1`, final sigmoid), with parameters read through a
 //! [`pace_tensor::Binding`]. The binding indirection is what lets the attack
 //! evaluate a model at parameters that exist only inside an autograd graph
-//! (the unrolled update chain `θ_0 … θ_K`).
+//! (the unrolled update chain `θ_0 … θ_K`). Estimates never need a
+//! gradient, so they take the tape-free [`CeModel::infer`], which returns
+//! the same bits as `forward` without recording anything.
 //!
 //! | Type | Architecture |
 //! |------|--------------|
@@ -558,15 +560,7 @@ impl CeModel {
         let (n, _) = g.shape(x);
         // Determine each row's pattern from current values.
         let patterns: Vec<Vec<usize>> = (0..n)
-            .map(|r| {
-                let row = g.value(x).row_slice(r);
-                let p: Vec<usize> = (0..t).filter(|&i| row[i] > 0.5).collect();
-                if p.is_empty() {
-                    vec![0]
-                } else {
-                    p
-                }
-            })
+            .map(|r| self.pattern_of(g.value(x).row_slice(r)))
             .collect();
         // Order rows so equal patterns are contiguous.
         let mut order: Vec<usize> = (0..n).collect();
@@ -625,16 +619,218 @@ impl CeModel {
         g.matmul(pt, stacked)
     }
 
-    /// Estimated cardinalities for a batch of encoded queries.
+    /// Tape-free [`CeModel::forward`] at the stored parameters: `x` is
+    /// `n×dim`, the result `n×1`. It builds no [`Graph`] and clones no
+    /// parameter, and batches what training cannot: MSCN runs every
+    /// attribute's predicate element through `pred_mlp` in one stacked
+    /// matrix, and RNN/LSTM advance all rows together, sorted by sequence
+    /// length, instead of one recurrence per join pattern.
+    ///
+    /// Each output row depends only on its own input row, and every value
+    /// goes through the [`Matrix`] kernel its graph op uses, so the result
+    /// is bit-identical to `forward` whenever `forward`'s outputs are all
+    /// finite. The one difference: `forward` routes RNN/LSTM rows through
+    /// a permutation matmul, which spreads a non-finite row to every row of
+    /// the batch; `infer` keeps it in its own row.
+    pub fn infer(&self, x: &Matrix) -> Matrix {
+        assert_eq!(x.cols(), self.encoder.dim(), "encoded width mismatch");
+        let ps = &self.params;
+        match &self.arch {
+            Arch::Linear { out } => out.infer(ps, x),
+            Arch::Fcn { mlp } => mlp.infer(ps, x),
+            Arch::FcnPool {
+                join_tower,
+                lo_tower,
+                hi_tower,
+                head,
+            } => {
+                let t = self.encoder.num_tables();
+                let a = self.encoder.attributes().len();
+                let n = x.rows();
+                let join = x.slice_cols(0, t);
+                let (lo, hi) = if a == 0 {
+                    (Matrix::zeros(n, 1), Matrix::ones(n, 1))
+                } else {
+                    let mut lo = Matrix::zeros(n, a);
+                    let mut hi = Matrix::zeros(n, a);
+                    for r in 0..n {
+                        for i in 0..a {
+                            lo.set(r, i, x.get(r, self.lo_col(i)));
+                            hi.set(r, i, x.get(r, self.hi_col(i)));
+                        }
+                    }
+                    (lo, hi)
+                };
+                let hl = lo_tower.infer(ps, &lo);
+                let hh = hi_tower.infer(ps, &hi);
+                let pooled = join_tower
+                    .infer(ps, &join)
+                    .add_elems(&hl)
+                    .add_elems(&hh)
+                    .mul_scalar(1.0 / 3.0);
+                head.infer(ps, &pooled)
+            }
+            Arch::Mscn {
+                table_mlp,
+                pred_mlp,
+                head,
+            } => self.infer_mscn(x, table_mlp, pred_mlp, head),
+            Arch::Rnn { cell, head } => self.infer_sequence(
+                x,
+                1,
+                &|inp, state| vec![cell.infer(ps, inp, &state[0])],
+                head,
+            ),
+            Arch::Lstm { cell, head } => self.infer_sequence(
+                x,
+                2,
+                &|inp, state| {
+                    let (h, c) = cell.infer(ps, inp, &state[0], &state[1]);
+                    vec![h, c]
+                },
+                head,
+            ),
+        }
+    }
+
+    /// [`CeModel::forward_mscn`] without a tape. The `a` predicate elements
+    /// of all `n` queries are stacked into one `(a·n)×(a+2)` matrix (row
+    /// `i·n + r` is attribute `i` of query `r`), so `pred_mlp` runs once;
+    /// the masked mean still accumulates in attribute order.
+    fn infer_mscn(&self, x: &Matrix, table_mlp: &Mlp, pred_mlp: &Mlp, head: &Mlp) -> Matrix {
+        let ps = &self.params;
+        let t = self.encoder.num_tables();
+        let attrs = self.encoder.attributes();
+        let a = attrs.len();
+        let n = x.rows();
+        let mut eye = Matrix::zeros(t, t);
+        for i in 0..t {
+            eye.set(i, i, 1.0);
+        }
+        let table_reprs = table_mlp.infer(ps, &eye);
+        let join = x.slice_cols(0, t);
+        let recip = join.sum_cols().add_scalar(1e-6).pow_scalar(-1.0);
+        let tbl = join.matmul(&table_reprs).mul_col(&recip);
+
+        let h = self.config.hidden;
+        let pred = if a == 0 {
+            Matrix::zeros(n, h)
+        } else {
+            let mut elems = Matrix::zeros(a * n, a + 2);
+            for i in 0..a {
+                for r in 0..n {
+                    elems.set(i * n + r, i, 1.0);
+                    elems.set(i * n + r, a, x.get(r, self.lo_col(i)));
+                    elems.set(i * n + r, a + 1, x.get(r, self.hi_col(i)));
+                }
+            }
+            let reprs = pred_mlp.infer(ps, &elems);
+            let mut acc = Matrix::zeros(n, h);
+            let mut cnt = Matrix::zeros(n, 1);
+            for (i, &(tb, _)) in attrs.iter().enumerate() {
+                let mask = x.slice_cols(tb, tb + 1);
+                acc = acc.add_elems(&reprs.slice_rows(i * n, (i + 1) * n).mul_col(&mask));
+                cnt = cnt.add_elems(&mask);
+            }
+            acc.mul_col(&cnt.add_scalar(1e-6).pow_scalar(-1.0))
+        };
+        head.infer(ps, &Matrix::concat_cols(&[&tbl, &pred]))
+    }
+
+    /// The join pattern the recurrent models read from an encoded row: the
+    /// tables whose bit is above 0.5, or table 0 when there are none.
+    fn pattern_of(&self, row: &[f32]) -> Vec<usize> {
+        let t = self.encoder.num_tables();
+        let p: Vec<usize> = (0..t).filter(|&i| row[i] > 0.5).collect();
+        if p.is_empty() {
+            vec![0]
+        } else {
+            p
+        }
+    }
+
+    /// The recurrent input sequence of one encoded row, as
+    /// [`CeModel::forward_sequence`] feeds it: per table of the row's
+    /// pattern, one `(table, attribute)` step per attribute, or a single
+    /// `(table, None)` step with bounds `[0, 1]` for a table without
+    /// attributes.
+    fn sequence_of(&self, row: &[f32]) -> Vec<(usize, Option<usize>)> {
+        self.pattern_of(row)
+            .into_iter()
+            .flat_map(|tb| {
+                let attrs = &self.attrs_by_table[tb];
+                if attrs.is_empty() {
+                    vec![(tb, None)]
+                } else {
+                    attrs.iter().map(|&i| (tb, Some(i))).collect()
+                }
+            })
+            .collect()
+    }
+
+    /// [`CeModel::forward_sequence`] without a tape. Rows are sorted by
+    /// sequence length, longest first, and step `s` runs the cell on the
+    /// prefix of rows whose sequences are longer than `s`. A row's state
+    /// sees exactly the inputs it sees on the tape, so grouping by pattern
+    /// and the permutation matmuls are not needed.
+    fn infer_sequence(
+        &self,
+        x: &Matrix,
+        num_states: usize,
+        step: &dyn Fn(&Matrix, &[Matrix]) -> Vec<Matrix>,
+        head: &Dense,
+    ) -> Matrix {
+        let t = self.encoder.num_tables();
+        let n = x.rows();
+        let hidden = self.config.hidden;
+        let seqs: Vec<Vec<(usize, Option<usize>)>> =
+            (0..n).map(|r| self.sequence_of(x.row_slice(r))).collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&r| std::cmp::Reverse(seqs[r].len()));
+        let max_len = order.first().map_or(0, |&r| seqs[r].len());
+
+        // `state` holds the first `active` rows of `order`; the final
+        // hidden states of finished rows are parked in `last_h`.
+        let mut last_h = Matrix::zeros(n, hidden);
+        let mut state = vec![Matrix::zeros(n, hidden); num_states];
+        let mut active = n;
+        for s in 0..max_len {
+            let live = order.iter().take_while(|&&r| seqs[r].len() > s).count();
+            if live < active {
+                last_h.data_mut()[live * hidden..active * hidden]
+                    .copy_from_slice(&state[0].data()[live * hidden..active * hidden]);
+                state = state.iter().map(|m| m.slice_rows(0, live)).collect();
+                active = live;
+            }
+            let mut inp = Matrix::zeros(live, t + 2);
+            for (p, &r) in order[..live].iter().enumerate() {
+                let (tb, attr) = seqs[r][s];
+                let (lo, hi) = attr.map_or((0.0, 1.0), |i| {
+                    (x.get(r, self.lo_col(i)), x.get(r, self.hi_col(i)))
+                });
+                inp.set(p, tb, 1.0);
+                inp.set(p, t, lo);
+                inp.set(p, t + 1, hi);
+            }
+            state = step(&inp, &state);
+        }
+        last_h.data_mut()[..active * hidden].copy_from_slice(&state[0].data()[..active * hidden]);
+
+        let sorted = head.infer(&self.params, &last_h);
+        let mut out = Matrix::zeros(n, 1);
+        for (p, &r) in order.iter().enumerate() {
+            out.set(r, 0, sorted.get(p, 0));
+        }
+        out
+    }
+
+    /// Estimated cardinalities for a batch of encoded queries, through the
+    /// tape-free [`CeModel::infer`].
     pub fn estimate_encoded_batch(&self, encs: &[Vec<f32>]) -> Vec<f64> {
         if encs.is_empty() {
             return Vec::new();
         }
-        let mut g = Graph::new();
-        let bind = self.params.bind(&mut g);
-        let x = g.leaf(rows_to_matrix(encs));
-        let out = self.forward(&mut g, &bind, x);
-        g.value(out)
+        self.infer(&rows_to_matrix(encs))
             .data()
             .iter()
             .map(|&o| f64::from(o * self.ln_max).exp())

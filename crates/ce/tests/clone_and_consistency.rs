@@ -49,6 +49,14 @@ fn single_and_batch_estimates_agree() {
     let encoder = QueryEncoder::new(&ds);
     let batch = model.estimate_encoded_batch(&data.enc[..5]);
     for (i, est) in batch.iter().enumerate() {
+        // A row's estimate must not depend on the rest of its batch.
+        let alone = model.estimate_encoded_batch(&data.enc[i..=i])[0];
+        assert_eq!(
+            est.to_bits(),
+            alone.to_bits(),
+            "batch {est} vs alone {alone}"
+        );
+        // Decoding snaps bounds, so the decoded query only agrees closely.
         let q = encoder.decode(&data.enc[i]);
         let single = model.estimate_query(&q);
         let rel = (est - single).abs() / est.max(1.0);

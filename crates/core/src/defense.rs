@@ -137,11 +137,8 @@ impl PoisonClassifier {
         if rows.is_empty() {
             return Vec::new();
         }
-        let mut g = Graph::new();
-        let bind = self.params.bind(&mut g);
-        let x = g.leaf(pace_ce::rows_to_matrix(rows));
-        let p = self.mlp.forward(&mut g, &bind, x);
-        g.value(p).data().to_vec()
+        let x = pace_ce::rows_to_matrix(rows);
+        self.mlp.infer(&self.params, &x).data().to_vec()
     }
 
     /// Whether each encoding is classified as poison.

@@ -215,11 +215,17 @@ impl AnomalyDetector {
         if rows.is_empty() {
             return Vec::new();
         }
-        let mut g = Graph::new();
-        let bind = self.params.bind(&mut g);
-        let x = g.leaf(pace_ce::rows_to_matrix(rows));
-        let err = self.recon_error_graph(&mut g, &bind, x);
-        g.value(err).data().to_vec()
+        // `recon_error_graph` without a tape: the same kernels in order.
+        let ps = &self.params;
+        let x = pace_ce::rows_to_matrix(rows);
+        let h = self.enc.infer(ps, &x);
+        let mu = self.mu.infer(ps, &h);
+        let diff = self.dec.infer(ps, &mu).sub_elems(&x);
+        diff.mul_elems(&diff)
+            .sum_cols()
+            .mul_scalar(1.0 / self.dim as f32)
+            .data()
+            .to_vec()
     }
 
     /// Whether each row is abnormal under the current threshold.
@@ -297,6 +303,41 @@ mod tests {
         assert!(det.flag_abnormal(&hist).iter().all(|&b| !b));
         det.set_threshold(0.0);
         assert!(det.flag_abnormal(&hist).iter().all(|&b| b));
+    }
+
+    /// `recon_errors` is the tape-free twin of `recon_error_graph`: equal
+    /// bit for bit, untrained and trained.
+    #[test]
+    fn recon_errors_match_the_graph_bit_for_bit() {
+        let hist = historical_encodings(40);
+        let mut det = AnomalyDetector::new(
+            hist[0].len(),
+            DetectorConfig {
+                epochs: 3,
+                ..DetectorConfig::default()
+            },
+            14,
+        );
+        let tape = |det: &AnomalyDetector| {
+            let mut g = Graph::new();
+            let bind = det.params().bind(&mut g);
+            let x = g.leaf(pace_ce::rows_to_matrix(&hist));
+            let err = det.recon_error_graph(&mut g, &bind, x);
+            g.value(err)
+                .data()
+                .iter()
+                .map(|e| e.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let values = |det: &AnomalyDetector| {
+            det.recon_errors(&hist)
+                .iter()
+                .map(|e| e.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(values(&det), tape(&det));
+        det.train(&hist, &mut StdRng::seed_from_u64(15));
+        assert_eq!(values(&det), tape(&det));
     }
 
     #[test]

@@ -194,11 +194,7 @@ impl PoisonGenerator {
     }
 
     fn gj_values(&self, noise: &Matrix) -> Matrix {
-        let mut g = Graph::new();
-        let bind = self.params.bind(&mut g);
-        let z = g.leaf(noise.clone());
-        let out = self.gj.forward(&mut g, &bind, z);
-        g.value(out).clone()
+        self.gj.infer(&self.params, noise)
     }
 
     /// The thresholded pattern of one output row, if valid.

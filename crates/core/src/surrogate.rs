@@ -155,47 +155,62 @@ fn build_probes(
 /// [`crate::BlackBox::explain_timed`] and of candidate-model timers.
 type TimedEstimator<'a> = dyn FnMut(&Query) -> Result<(f64, f64), ProbeError> + 'a;
 
-/// Behavior vector of an estimator over probe groups. Per group, three
-/// features: the mean *signed* log error (architectural bias direction), the
-/// mean log Q-error (error magnitude), and the log of the minimum-of-3
-/// per-query inference latency (minimum filters scheduler noise; latency is
-/// the paper's second speculation signal).
-fn behavior_vector(
-    estimate: &mut TimedEstimator<'_>,
+/// Behavior vectors of several estimators over probe groups. Per group,
+/// three features: the mean *signed* log error (architectural bias
+/// direction), the mean log Q-error (error magnitude), and the log of the
+/// minimum-of-3 per-query inference latency (minimum filters scheduler
+/// noise; latency is the paper's second speculation signal).
+///
+/// The estimators are timed back to back on every probe, each of the three
+/// repetitions cycling through all of them, so a slowdown of the whole
+/// machine — another process on the sibling hyperthread, a frequency
+/// change — lands on every estimator alike. Timed one estimator after
+/// another, a sub-microsecond model probed in a busy phase could read as a
+/// slower architecture than candidates probed in a quiet one.
+fn behavior_vectors(
+    estimators: &mut [Box<TimedEstimator<'_>>],
     truths: &[Vec<u64>],
     groups: &[Vec<Query>],
-) -> Result<Vec<f64>, ProbeError> {
-    let mut v = Vec::with_capacity(groups.len() * 3);
+) -> Result<Vec<Vec<f64>>, ProbeError> {
+    let n = estimators.len();
     // Warm-up pass: the first estimates after model construction pay
     // allocator/cache costs that would otherwise masquerade as architecture
-    // latency (the black box is always probed first, so without this every
-    // black box looks like the slowest candidate).
+    // latency.
     for group in groups {
         for q in group {
-            let _ = estimate(q)?;
-        }
-    }
-    for (group, truth) in groups.iter().zip(truths) {
-        let mut bias = 0.0;
-        let mut qe = 0.0;
-        let mut lat = 0.0;
-        for (q, &t) in group.iter().zip(truth) {
-            let mut best_l = f64::INFINITY;
-            let mut est = 1.0;
-            for _ in 0..3 {
-                let (e, l) = estimate(q)?;
-                est = e;
-                best_l = best_l.min(l);
+            for estimate in estimators.iter_mut() {
+                let _ = estimate(q)?;
             }
-            bias += (est.max(1.0) / t as f64).ln();
-            qe += q_error(est, t as f64).ln();
-            lat += best_l;
         }
-        v.push(bias / group.len() as f64);
-        v.push(qe / group.len() as f64);
-        v.push((lat / group.len() as f64).max(1e-9).ln());
     }
-    Ok(v)
+    let mut vectors = vec![Vec::with_capacity(groups.len() * 3); n];
+    for (group, truth) in groups.iter().zip(truths) {
+        let mut bias = vec![0.0; n];
+        let mut qe = vec![0.0; n];
+        let mut lat = vec![0.0; n];
+        for (q, &t) in group.iter().zip(truth) {
+            let mut best_l = vec![f64::INFINITY; n];
+            let mut est = vec![1.0; n];
+            for _ in 0..3 {
+                for (i, estimate) in estimators.iter_mut().enumerate() {
+                    let (e, l) = estimate(q)?;
+                    est[i] = e;
+                    best_l[i] = best_l[i].min(l);
+                }
+            }
+            for i in 0..n {
+                bias[i] += (est[i].max(1.0) / t as f64).ln();
+                qe[i] += q_error(est[i], t as f64).ln();
+                lat[i] += best_l[i];
+            }
+        }
+        for (i, v) in vectors.iter_mut().enumerate() {
+            v.push(bias[i] / group.len() as f64);
+            v.push(qe[i] / group.len() as f64);
+            v.push((lat[i] / group.len() as f64).max(1e-9).ln());
+        }
+    }
+    Ok(vectors)
 }
 
 /// Similarity between two z-scored behavior vectors: negative Euclidean
@@ -297,19 +312,13 @@ pub fn speculate_model_type(
         truths.push(t);
     }
 
-    // Black-box behavior vector (EXPLAIN + latency). The latency timer wraps
-    // the oracle's whole retry loop, so injected slowness shows up here.
-    let mut bb_est = |q: &Query| oracle.explain_timed(q);
-    let bb_vec = behavior_vector(&mut bb_est, &truths, &probes)?;
-
-    let mut vectors = vec![bb_vec];
-    let mut types = Vec::new();
-    for ty in CeModelType::all() {
-        // Average two independently seeded candidates per type: behavioral
-        // residuals of a single candidate carry initialization noise that
-        // can drown the architecture fingerprint.
-        let mut avg: Vec<f64> = Vec::new();
-        const CANDIDATE_SEEDS: u64 = 2;
+    // Average two independently seeded candidates per type: behavioral
+    // residuals of a single candidate carry initialization noise that can
+    // drown the architecture fingerprint.
+    const CANDIDATE_SEEDS: u64 = 2;
+    let types = CeModelType::all();
+    let mut candidates = Vec::with_capacity(types.len() * CANDIDATE_SEEDS as usize);
+    for ty in types {
         for c in 0..CANDIDATE_SEEDS {
             let mut candidate = CeModel::with_encoder(
                 ty,
@@ -319,25 +328,29 @@ pub fn speculate_model_type(
                 cfg.seed ^ (ty as u64 + 1) ^ (c * 0x9e37),
             );
             candidate.train(&data, &mut rng)?;
-            let mut est = |q: &Query| -> Result<(f64, f64), ProbeError> {
-                let t0 = Instant::now();
-                let e = candidate.estimate_query(q);
-                Ok((e, t0.elapsed().as_secs_f64()))
-            };
-            let v = behavior_vector(&mut est, &truths, &probes)?;
-            if avg.is_empty() {
-                avg = v;
-            } else {
-                for (a, x) in avg.iter_mut().zip(v) {
-                    *a += x;
-                }
-            }
+            candidates.push(candidate);
         }
-        for a in &mut avg {
-            *a /= CANDIDATE_SEEDS as f64;
-        }
-        vectors.push(avg);
-        types.push(ty);
+    }
+
+    // The black box (EXPLAIN + latency) is estimator 0; its timer wraps the
+    // oracle's whole retry loop, so injected slowness shows up here.
+    let mut estimators: Vec<Box<TimedEstimator<'_>>> = vec![Box::new(|q| oracle.explain_timed(q))];
+    for candidate in &candidates {
+        estimators.push(Box::new(move |q| {
+            let t0 = Instant::now();
+            let e = candidate.estimate_query(q);
+            Ok((e, t0.elapsed().as_secs_f64()))
+        }));
+    }
+    let measured = behavior_vectors(&mut estimators, &truths, &probes)?;
+    let mut vectors = vec![measured[0].clone()];
+    for seeds in measured[1..].chunks(CANDIDATE_SEEDS as usize) {
+        let dims = seeds[0].len();
+        vectors.push(
+            (0..dims)
+                .map(|d| seeds.iter().map(|v| v[d]).sum::<f64>() / seeds.len() as f64)
+                .collect(),
+        );
     }
     normalize_dims(&mut vectors);
     let bb_vec = vectors[0].clone();

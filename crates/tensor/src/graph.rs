@@ -229,25 +229,19 @@ impl Graph {
 
     /// Elementwise sum of equal-shaped operands.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0]
-            .value
-            .zip(&self.nodes[b.0].value, |x, y| x + y);
+        let v = self.nodes[a.0].value.add_elems(&self.nodes[b.0].value);
         self.push(Op::Add(a, b), v)
     }
 
     /// Elementwise difference of equal-shaped operands.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0]
-            .value
-            .zip(&self.nodes[b.0].value, |x, y| x - y);
+        let v = self.nodes[a.0].value.sub_elems(&self.nodes[b.0].value);
         self.push(Op::Sub(a, b), v)
     }
 
     /// Elementwise product of equal-shaped operands.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0]
-            .value
-            .zip(&self.nodes[b.0].value, |x, y| x * y);
+        let v = self.nodes[a.0].value.mul_elems(&self.nodes[b.0].value);
         self.push(Op::Mul(a, b), v)
     }
 
@@ -281,37 +275,37 @@ impl Graph {
 
     /// Adds a scalar constant to every element.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x + c);
+        let v = self.nodes[a.0].value.add_scalar(c);
         self.push(Op::AddScalar(a), v)
     }
 
     /// Multiplies every element by a scalar constant.
     pub fn mul_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x * c);
+        let v = self.nodes[a.0].value.mul_scalar(c);
         self.push(Op::MulScalar(a, c), v)
     }
 
     /// Raises every element to a constant power.
     pub fn pow_scalar(&mut self, a: Var, p: f32) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x.powf(p));
+        let v = self.nodes[a.0].value.pow_scalar(p);
         self.push(Op::PowScalar(a, p), v)
     }
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.nodes[a.0].value.sigmoid();
         self.push(Op::Sigmoid(a), v)
     }
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(f32::tanh);
+        let v = self.nodes[a.0].value.tanh();
         self.push(Op::Tanh(a), v)
     }
 
     /// Elementwise rectifier.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x.max(0.0));
+        let v = self.nodes[a.0].value.relu();
         self.push(Op::Relu(a), v)
     }
 
@@ -399,17 +393,10 @@ impl Graph {
 
     /// Adds a `1×d` row vector to every row of an `n×d` matrix.
     pub fn add_row(&mut self, a: Var, row: Var) -> Var {
-        let m = &self.nodes[a.0].value;
-        let r = &self.nodes[row.0].value;
-        assert_eq!(r.rows(), 1, "add_row rhs must be 1xN");
-        assert_eq!(m.cols(), r.cols(), "add_row dim mismatch");
-        let mut out = m.clone();
-        for i in 0..out.rows() {
-            let base = i * out.cols();
-            for j in 0..out.cols() {
-                out.data_mut()[base + j] += r.data()[j];
-            }
-        }
+        let out = self.nodes[a.0]
+            .value
+            .clone()
+            .add_row(&self.nodes[row.0].value);
         self.push(Op::AddRow(a, row), out)
     }
 
@@ -431,26 +418,16 @@ impl Graph {
 
     /// Multiplies every column of an `n×d` matrix by an `n×1` column vector.
     pub fn mul_col(&mut self, a: Var, col: Var) -> Var {
-        let m = &self.nodes[a.0].value;
-        let c = &self.nodes[col.0].value;
-        assert_eq!(c.cols(), 1, "mul_col rhs must be Nx1");
-        assert_eq!(m.rows(), c.rows(), "mul_col dim mismatch");
-        let mut out = m.clone();
-        for r in 0..out.rows() {
-            let f = c.data()[r];
-            let base = r * out.cols();
-            for j in 0..out.cols() {
-                out.data_mut()[base + j] *= f;
-            }
-        }
+        let out = self.nodes[a.0]
+            .value
+            .clone()
+            .mul_col(&self.nodes[col.0].value);
         self.push(Op::MulCol(a, col), out)
     }
 
     /// Row sums: `n×d → n×1`.
     pub fn sum_cols(&mut self, a: Var) -> Var {
-        let m = &self.nodes[a.0].value;
-        let data: Vec<f32> = (0..m.rows()).map(|r| m.row_slice(r).iter().sum()).collect();
-        let v = Matrix::from_vec(m.rows(), 1, data);
+        let v = self.nodes[a.0].value.sum_cols();
         self.push(Op::SumCols(a), v)
     }
 

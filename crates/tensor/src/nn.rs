@@ -4,9 +4,15 @@
 //! that maps ids to graph vars. Evaluating a model at parameters that exist
 //! only inside a graph (the attack's `θ_k` chain) is therefore just a matter
 //! of constructing a different binding.
+//!
+//! Each layer also has a tape-free `infer` that reads its parameters
+//! straight from a [`ParamStore`] and returns values only. It applies the
+//! same [`Matrix`] kernels, in the same order and on the same operands, as
+//! the graph ops its `forward` records, so the two agree bit for bit.
 
 use crate::graph::{Graph, Var};
 use crate::init;
+use crate::matrix::Matrix;
 use crate::param::{Binding, ParamId, ParamStore};
 use rand::Rng;
 
@@ -31,6 +37,17 @@ impl Activation {
             Activation::Relu => g.relu(x),
             Activation::Sigmoid => g.sigmoid(x),
             Activation::Tanh => g.tanh(x),
+        }
+    }
+
+    /// Applies the activation to values, with the kernel [`Activation::apply`]
+    /// records.
+    pub fn infer(self, x: Matrix) -> Matrix {
+        match self {
+            Activation::None => x,
+            Activation::Relu => x.relu(),
+            Activation::Sigmoid => x.sigmoid(),
+            Activation::Tanh => x.tanh(),
         }
     }
 }
@@ -61,10 +78,7 @@ impl Dense {
             _ => init::xavier_uniform(rng, in_dim, out_dim),
         };
         let w = ps.alloc(format!("{name}.w"), w_init);
-        let b = ps.alloc(
-            format!("{name}.b"),
-            crate::matrix::Matrix::zeros(1, out_dim),
-        );
+        let b = ps.alloc(format!("{name}.b"), Matrix::zeros(1, out_dim));
         Self {
             w,
             b,
@@ -80,6 +94,13 @@ impl Dense {
         let wx = g.matmul(x, bind.var(self.w));
         let z = g.add_row(wx, bind.var(self.b));
         self.act.apply(g, z)
+    }
+
+    /// Tape-free [`Dense::forward`] at the parameters in `ps`.
+    pub fn infer(&self, ps: &ParamStore, x: &Matrix) -> Matrix {
+        debug_assert_eq!(x.cols(), self.in_dim, "Dense input width mismatch");
+        let z = x.matmul(ps.get(self.w)).add_row(ps.get(self.b));
+        self.act.infer(z)
     }
 
     /// Input width.
@@ -139,6 +160,13 @@ impl Mlp {
             .fold(x, |h, layer| layer.forward(g, bind, h))
     }
 
+    /// Tape-free [`Mlp::forward`] at the parameters in `ps`.
+    pub fn infer(&self, ps: &ParamStore, x: &Matrix) -> Matrix {
+        let (first, rest) = self.layers.split_first().expect("non-empty");
+        rest.iter()
+            .fold(first.infer(ps, x), |h, layer| layer.infer(ps, &h))
+    }
+
     /// The layers, for introspection.
     pub fn layers(&self) -> &[Dense] {
         &self.layers
@@ -181,7 +209,7 @@ impl RnnCell {
             format!("{name}.wh"),
             init::xavier_uniform(rng, hidden, hidden),
         );
-        let b = ps.alloc(format!("{name}.b"), crate::matrix::Matrix::zeros(1, hidden));
+        let b = ps.alloc(format!("{name}.b"), Matrix::zeros(1, hidden));
         Self { wx, wh, b, hidden }
     }
 
@@ -194,6 +222,17 @@ impl RnnCell {
         g.tanh(s)
     }
 
+    /// Tape-free [`RnnCell::step`] at the parameters in `ps`. A zero `h`
+    /// is still multiplied by `Wh`, as on the tape, so a non-finite `Wh`
+    /// reaches the output on both paths.
+    pub fn infer(&self, ps: &ParamStore, x: &Matrix, h: &Matrix) -> Matrix {
+        let hw = h.matmul(ps.get(self.wh));
+        x.matmul(ps.get(self.wx))
+            .add_elems(&hw)
+            .add_row(ps.get(self.b))
+            .tanh()
+    }
+
     /// Hidden width.
     pub fn hidden(&self) -> usize {
         self.hidden
@@ -201,7 +240,7 @@ impl RnnCell {
 
     /// A zero initial hidden state for a batch of `n` rows.
     pub fn zero_state(&self, g: &mut Graph, n: usize) -> Var {
-        g.leaf(crate::matrix::Matrix::zeros(n, self.hidden))
+        g.leaf(Matrix::zeros(n, self.hidden))
     }
 }
 
@@ -232,10 +271,7 @@ impl LstmCell {
                 format!("{name}.{gate}.wh"),
                 init::xavier_uniform(rng, hidden, hidden),
             );
-            let b = ps.alloc(
-                format!("{name}.{gate}.b"),
-                crate::matrix::Matrix::full(1, hidden, bias),
-            );
+            let b = ps.alloc(format!("{name}.{gate}.b"), Matrix::full(1, hidden, bias));
             (wx, wh, b)
         };
         let gates = [
@@ -253,6 +289,12 @@ impl LstmCell {
         let hw = g.matmul(h, bind.var(wh));
         let s = g.add(xw, hw);
         g.add_row(s, bind.var(b))
+    }
+
+    fn gate_infer(&self, ps: &ParamStore, idx: usize, x: &Matrix, h: &Matrix) -> Matrix {
+        let (wx, wh, b) = self.gates[idx];
+        let hw = h.matmul(ps.get(wh));
+        x.matmul(ps.get(wx)).add_elems(&hw).add_row(ps.get(b))
     }
 
     /// One step: `(h, c) → (h', c')` for an `n×in` input batch.
@@ -273,6 +315,19 @@ impl LstmCell {
         (h_next, c_next)
     }
 
+    /// Tape-free [`LstmCell::step`] at the parameters in `ps`: `(h, c) →
+    /// (h', c')`, every product the tape forms included.
+    pub fn infer(&self, ps: &ParamStore, x: &Matrix, h: &Matrix, c: &Matrix) -> (Matrix, Matrix) {
+        let i = self.gate_infer(ps, 0, x, h).sigmoid();
+        let f = self.gate_infer(ps, 1, x, h).sigmoid();
+        let o = self.gate_infer(ps, 2, x, h).sigmoid();
+        let cand = self.gate_infer(ps, 3, x, h).tanh();
+        let ic = i.mul_elems(&cand);
+        let c_next = f.mul_elems(c).add_elems(&ic);
+        let h_next = o.mul_elems(&c_next.tanh());
+        (h_next, c_next)
+    }
+
     /// Hidden width.
     pub fn hidden(&self) -> usize {
         self.hidden
@@ -280,8 +335,8 @@ impl LstmCell {
 
     /// Zero `(h, c)` state for a batch of `n` rows.
     pub fn zero_state(&self, g: &mut Graph, n: usize) -> (Var, Var) {
-        let h = g.leaf(crate::matrix::Matrix::zeros(n, self.hidden));
-        let c = g.leaf(crate::matrix::Matrix::zeros(n, self.hidden));
+        let h = g.leaf(Matrix::zeros(n, self.hidden));
+        let c = g.leaf(Matrix::zeros(n, self.hidden));
         (h, c)
     }
 }
@@ -369,6 +424,58 @@ mod tests {
         let (h1, c1) = cell.step(&mut g, &bind, x, h0, c0);
         assert_eq!(g.shape(h1), (2, 6));
         assert_eq!(g.shape(c1), (2, 6));
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A `rows×cols` batch with mixed signs, exact zeros and `−0.0`.
+    fn batch(rows: usize, cols: usize) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|i| match i % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((i * 37 % 101) as f32 - 50.0) / 17.0,
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// Every layer's `infer` equals its graph `forward` bit for bit.
+    #[test]
+    fn infer_matches_forward_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut ps = ParamStore::new();
+        let mlps: Vec<Mlp> = [Activation::Relu, Activation::Tanh, Activation::None]
+            .into_iter()
+            .map(|act| Mlp::new(&mut ps, &mut rng, "m", &[5, 7, 3], act, Activation::Sigmoid))
+            .collect();
+        let rnn = RnnCell::new(&mut ps, &mut rng, "r", 5, 4);
+        let lstm = LstmCell::new(&mut ps, &mut rng, "l", 5, 4);
+        for n in [1, 3, 8] {
+            let xv = batch(n, 5);
+            let mut g = Graph::new();
+            let bind = ps.bind(&mut g);
+            let x = g.leaf(xv.clone());
+            for mlp in &mlps {
+                let y = mlp.forward(&mut g, &bind, x);
+                assert_eq!(bits(&mlp.infer(&ps, &xv)), bits(g.value(y)));
+            }
+            let (h0, c0) = lstm.zero_state(&mut g, n);
+            let (h1, c1) = lstm.step(&mut g, &bind, x, h0, c0);
+            let (h2, c2) = lstm.step(&mut g, &bind, x, h1, c1);
+            let zero = Matrix::zeros(n, 4);
+            let (ih1, ic1) = lstm.infer(&ps, &xv, &zero, &zero);
+            let (ih2, ic2) = lstm.infer(&ps, &xv, &ih1, &ic1);
+            assert_eq!(bits(&ih2), bits(g.value(h2)));
+            assert_eq!(bits(&ic2), bits(g.value(c2)));
+            let r0 = rnn.zero_state(&mut g, n);
+            let r1 = rnn.step(&mut g, &bind, x, r0);
+            let r2 = rnn.step(&mut g, &bind, x, r1);
+            let ir1 = rnn.infer(&ps, &xv, &zero);
+            assert_eq!(bits(&rnn.infer(&ps, &xv, &ir1)), bits(g.value(r2)));
+        }
     }
 
     #[test]
