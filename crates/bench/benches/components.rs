@@ -1,16 +1,19 @@
 //! Criterion micro-benchmarks of the substrate components: autograd
 //! (including the attack's double-backward unroll), the exact-count engine
 //! (including the attack-shaped decoded queries it labels),
-//! the join-order optimizer, CE-model inference, and generator steps.
+//! the join-order optimizer, CE-model inference and training steps, and
+//! generator steps.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use pace_ce::{CeConfig, CeModel, CeModelType, EncodedWorkload};
+use pace_ce::{q_error_loss, rows_to_matrix, CeConfig, CeModel, CeModelType, EncodedWorkload};
 use pace_core::{GeneratorConfig, PoisonGenerator};
 use pace_data::{build, DatasetKind, Scale};
 use pace_engine::{optimize, Executor, OracleEstimator};
 use pace_tensor::nn::{Activation, Mlp};
 use pace_tensor::{Graph, Matrix, ParamStore};
-use pace_workload::{generate_queries, Query, QueryEncoder, WorkloadSpec};
+use pace_workload::{
+    generate_from_templates, generate_queries, templates_for, Query, QueryEncoder, WorkloadSpec,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -196,6 +199,52 @@ fn bench_models(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // One training step's forward, loss and backward on a 64-row batch —
+    // the per-step cost of victim training — for the two pairs whose
+    // training dominates a benchmark set-up: LSTM over IMDB's join
+    // templates and MSCN over STATS's.
+    for (name, kind, ty) in [
+        ("imdb", DatasetKind::Imdb, CeModelType::Lstm),
+        ("stats", DatasetKind::Stats, CeModelType::Mscn),
+    ] {
+        let (model, batch) = train_step_fixture(kind, ty, 64);
+        c.bench_function(&format!("models/{}_{name}_train_step", ty.name()), |b| {
+            b.iter(|| {
+                let mut g = Graph::new();
+                let bind = model.params().bind(&mut g);
+                let x = g.leaf(rows_to_matrix(&batch.enc));
+                let out = model.forward(&mut g, &bind, x);
+                let loss = q_error_loss(&mut g, out, &batch.ln_card, model.ln_max());
+                black_box(g.grad_values(loss, bind.vars()))
+            })
+        });
+    }
+}
+
+/// An untrained `ty` model over `kind` and the first `rows` encoded queries
+/// of a workload generated as the benchmark set-up generates its training
+/// workload: from the dataset's join templates where it has them, with up
+/// to three tables per query.
+fn train_step_fixture(
+    kind: DatasetKind,
+    ty: CeModelType,
+    rows: usize,
+) -> (CeModel, EncodedWorkload) {
+    let ds = build(kind, Scale::quick(), 42);
+    let spec = WorkloadSpec {
+        max_join_tables: 3,
+        ..WorkloadSpec::default()
+    };
+    let mut rng = StdRng::seed_from_u64(43);
+    let queries = match templates_for(&ds) {
+        Some(t) => generate_from_templates(&ds, &t, &spec, &mut rng, 2 * rows),
+        None => generate_queries(&ds, &spec, &mut rng, 2 * rows),
+    };
+    let mut labeled = Executor::new(&ds).label_nonzero(queries);
+    assert!(labeled.len() >= rows, "too few non-empty queries");
+    labeled.truncate(rows);
+    let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
+    (CeModel::new(ty, &ds, CeConfig::quick(), 6), data)
 }
 
 fn bench_generator(c: &mut Criterion) {

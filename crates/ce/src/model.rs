@@ -948,8 +948,7 @@ impl CeModel {
         let loss = q_error_loss(&mut g, out, &batch.ln_card, self.ln_max);
         pace_tensor::analysis::audit_if_enabled(&g, loss, bind.vars(), "ce::step_adam");
         let value = g.value(loss).as_scalar();
-        let grad_vars = g.grad(loss, bind.vars());
-        let mut grads: Vec<Matrix> = grad_vars.iter().map(|&v| g.value(v).clone()).collect();
+        let mut grads = g.grad_values(loss, bind.vars());
         sanitize(&mut grads);
         clip_global_norm(&mut grads, self.config.clip_norm);
         // Chaos hook, after sanitize/clip so the injected NaN reaches the
@@ -1065,9 +1064,7 @@ impl CeModel {
                     diverged = true;
                     break;
                 }
-                let grad_vars = g.grad(loss, bind.vars());
-                let mut grads: Vec<Matrix> =
-                    grad_vars.iter().map(|&v| g.value(v).clone()).collect();
+                let mut grads = g.grad_values(loss, bind.vars());
                 sanitize(&mut grads);
                 clip_global_norm(&mut grads, self.config.update_clip);
                 fault::poison_grads("ce-update", &mut grads);

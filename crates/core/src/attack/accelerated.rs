@@ -128,6 +128,7 @@ pub fn train_generator_accelerated(
         cfg.seed ^ 0x9e1,
     );
     let detector = if cfg.use_detector && !historical.is_empty() {
+        let _detector_span = span("detector::train");
         let mut d = AnomalyDetector::new(k.encoder.dim(), cfg.detector, cfg.seed ^ 0x9e2);
         d.train(historical, &mut rng);
         Some(d)
@@ -252,7 +253,7 @@ pub fn train_generator_accelerated(
                 let masked = g.mul(errors, mask);
                 let total = g.sum_all(masked);
                 let recon_loss = g.mul_scalar(total, 1.0 / n_flagged);
-                generator.apply_step(&mut g, recon_loss, &bind, "attack::accelerated::detector");
+                generator.apply_step(&g, recon_loss, &bind, "attack::accelerated::detector");
             }
         }
 
@@ -290,7 +291,7 @@ pub fn train_generator_accelerated(
         {
             let _hypergrad_span = span("attack::iter::hypergrad");
             let loss = g.neg(objective);
-            generator.apply_step(&mut g, loss, &bind, "attack::accelerated::hypergradient");
+            generator.apply_step(&g, loss, &bind, "attack::accelerated::hypergradient");
         }
 
         // (20) periodic real surrogate update.

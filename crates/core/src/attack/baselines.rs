@@ -136,7 +136,7 @@ pub fn train_lbg(
         let inference_loss = q_error_loss(&mut g, out, &ln_labels, surrogate.ln_max());
         curve.push(g.value(inference_loss).as_scalar());
         let loss = g.neg(inference_loss);
-        generator.apply_step(&mut g, loss, &bind, "attack::baseline");
+        generator.apply_step(&g, loss, &bind, "attack::baseline");
     }
     Ok(AttackArtifacts {
         generator,

@@ -47,6 +47,7 @@ pub fn train_generator_basic(
         cfg.seed ^ 0xba1,
     );
     let detector = if cfg.use_detector && !historical.is_empty() {
+        let _detector_span = pace_tensor::trace::span("detector::train");
         let mut d = AnomalyDetector::new(k.encoder.dim(), cfg.detector, cfg.seed ^ 0xba2);
         d.train(historical, &mut rng);
         Some(d)
@@ -143,11 +144,11 @@ pub fn train_generator_basic(
                     let masked = g.mul(errors, mask);
                     let total = g.sum_all(masked);
                     let recon_loss = g.mul_scalar(total, 1.0 / n_flagged);
-                    generator.apply_step(&mut g, recon_loss, &bind, "attack::basic::detector");
+                    generator.apply_step(&g, recon_loss, &bind, "attack::basic::detector");
                 }
             }
             let loss = g.neg(objective);
-            generator.apply_step(&mut g, loss, &bind, "attack::basic::hypergradient");
+            generator.apply_step(&g, loss, &bind, "attack::basic::hypergradient");
             // The capped Q-error loss masks NaN through IEEE min/max, so
             // parameter finiteness is the authoritative divergence signal.
             if !obj_value.is_finite() || !generator.params_finite() {

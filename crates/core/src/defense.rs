@@ -121,11 +121,7 @@ impl PoisonClassifier {
         let m = g.mean_all(s);
         let loss = g.neg(m);
         let value = g.value(loss).as_scalar();
-        let mut grads: Vec<Matrix> = g
-            .grad(loss, bind.vars())
-            .iter()
-            .map(|&v| g.value(v).clone())
-            .collect();
+        let mut grads = g.grad_values(loss, bind.vars());
         sanitize(&mut grads);
         clip_global_norm(&mut grads, 5.0);
         adam.step(&mut self.params, &grads);

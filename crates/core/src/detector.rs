@@ -11,7 +11,7 @@
 use pace_tensor::init::gaussian;
 use pace_tensor::nn::{Activation, Dense, Mlp};
 use pace_tensor::optim::{clip_global_norm, sanitize, Adam, Optimizer};
-use pace_tensor::{Binding, Graph, Matrix, ParamStore, Var};
+use pace_tensor::{Binding, Graph, ParamStore, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -185,11 +185,7 @@ impl AnomalyDetector {
         let kl_term = g.mul_scalar(kl, self.config.beta);
         let loss = g.add(mse, kl_term);
         let value = g.value(loss).as_scalar();
-        let mut grads: Vec<Matrix> = g
-            .grad(loss, bind.vars())
-            .iter()
-            .map(|&v| g.value(v).clone())
-            .collect();
+        let mut grads = g.grad_values(loss, bind.vars());
         sanitize(&mut grads);
         clip_global_norm(&mut grads, 5.0);
         self.adam.step(&mut self.params, &grads);

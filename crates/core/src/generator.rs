@@ -234,7 +234,7 @@ impl PoisonGenerator {
         let y = g.leaf(batch.j.clone());
         let loss = bce(&mut g, p, y);
         let value = g.value(loss).as_scalar();
-        self.apply_step(&mut g, loss, &bind, "generator::join_loss_step");
+        self.apply_step(&g, loss, &bind, "generator::join_loss_step");
         value
     }
 
@@ -278,13 +278,17 @@ impl PoisonGenerator {
         g.concat_cols(&parts)
     }
 
-    /// Applies one Adam step from a scalar loss (used by the attack loops for
-    /// the poisoning and detector-confrontation objectives). The gradient
-    /// built here is the attack hypergradient through the full unrolled
-    /// graph. `context` names the attack loop as a fault-injection site.
-    pub fn apply_step(&mut self, g: &mut Graph, loss: Var, bind: &Binding, context: &str) {
-        let grad_vars = g.grad(loss, bind.vars());
-        let mut grads: Vec<Matrix> = grad_vars.iter().map(|&v| g.value(v).clone()).collect();
+    /// Applies one Adam step from a scalar loss: the join loss, and in the
+    /// attack loops the detector confrontation and the poisoning objective.
+    /// For the objective, the gradient is the attack hypergradient through
+    /// the full unrolled graph: the inner gradients of the virtual updates
+    /// are recorded nodes (`unroll_virtual_updates` uses [`Graph::grad`]),
+    /// and this outer pass differentiates through them with the value-only
+    /// [`Graph::grad_values`], since nothing differentiates the outer
+    /// gradient again. `context` names the attack loop as a fault-injection
+    /// site.
+    pub fn apply_step(&mut self, g: &Graph, loss: Var, bind: &Binding, context: &str) {
+        let mut grads = g.grad_values(loss, bind.vars());
         sanitize(&mut grads);
         clip_global_norm(&mut grads, self.config.clip_norm);
         // Fault hook after sanitize/clip: an injected NaN reaches the

@@ -475,6 +475,7 @@ pub fn train_surrogate(
         }
     }
 
+    let imitate_span = pace_tensor::trace::span("surrogate::imitate");
     let mut surrogate =
         CeModel::with_encoder(ty, k.encoder.clone(), k.ln_max, cfg.ce_config, cfg.seed);
     let mut adam = Adam::new(cfg.lr);
@@ -520,9 +521,8 @@ pub fn train_surrogate(
                 }
             };
             pace_tensor::analysis::audit_if_enabled(&g, loss, bind.vars(), "surrogate::imitate");
-            let grad_vars = g.grad(loss, bind.vars());
             let loss_value = g.value(loss).as_scalar();
-            let mut grads: Vec<Matrix> = grad_vars.iter().map(|&v| g.value(v).clone()).collect();
+            let mut grads = g.grad_values(loss, bind.vars());
             sanitize(&mut grads);
             clip_global_norm(&mut grads, surrogate.config().clip_norm);
             // Fault hook after sanitize/clip, so an injected NaN reaches the
@@ -558,6 +558,7 @@ pub fn train_surrogate(
         }
         epoch += 1;
     }
+    drop(imitate_span);
     if !surrogate.params_finite() {
         return Err(CampaignError::Train(TrainError::Diverged { rollbacks }));
     }

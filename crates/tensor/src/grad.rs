@@ -1,4 +1,4 @@
-//! Reverse-mode differentiation.
+//! Reverse-mode differentiation, in two passes over one walk.
 //!
 //! [`Graph::grad`] walks the tape in reverse topological order and *appends*
 //! the gradient computation to the same tape: every vector-Jacobian product
@@ -7,8 +7,17 @@
 //! including being differentiated again, which is how the PACE bivariate
 //! optimization obtains hypergradients through unrolled model updates.
 //!
-//! The walk is demand-driven: only nodes on a path from a requested var to
+//! [`Graph::grad_values`] is the first-order twin for callers that only read
+//! the gradients: the same walk, with each VJP applied directly to values and
+//! nothing appended. It is bit-identical to `grad` by construction, up to a
+//! NaN's sign and payload — every piece is the same per-element op sequence
+//! the recorded nodes would run, added into its accumulator in the same
+//! order.
+//!
+//! Both walks are demand-driven: only nodes on a path from a requested var to
 //! the output are visited, and only VJP pieces toward such nodes are built.
+
+use std::collections::HashMap;
 
 use crate::graph::{Graph, Op, Var};
 use crate::matrix::Matrix;
@@ -239,6 +248,15 @@ impl Graph {
     /// Adds `node`'s VJP pieces (`g` is its accumulated gradient) into the
     /// accumulators of its operands, building only the pieces whose target
     /// is needed.
+    ///
+    /// This and [`Graph::vjp_values`] deny both wildcard lints, so a new
+    /// `Op` cannot fall through a `_` arm in either table:
+    /// `wildcard_enum_match_arm` alone stays silent when the `_` covers a
+    /// single variant, which is what one new `Op` would be.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn accumulate_vjp(&mut self, op: &Op, node: Var, g: Var, need: &[bool], grads: &mut Grads) {
         // Unary ops (and leaves) have nothing to build unless their single
         // operand is needed; multi-operand arms check each side below.
@@ -530,6 +548,354 @@ impl Graph {
     }
 }
 
+/// Gradient values of one [`Graph::grad_values`] pass, indexed by node.
+type GradValues = Vec<Option<Matrix>>;
+
+/// Adds `piece` into `target`'s accumulator as `acc = acc + piece`, element
+/// by element — the operand order and the per-element op of the `Add` node
+/// [`Graph::grad`] appends for the same accumulation.
+fn accumulate(grads: &mut GradValues, target: Var, piece: Matrix) {
+    match &mut grads[target.0] {
+        Some(acc) => {
+            assert_eq!(acc.shape(), piece.shape(), "gradient shape mismatch");
+            for (a, &p) in acc.data_mut().iter_mut().zip(piece.data()) {
+                *a += p;
+            }
+        }
+        slot @ None => *slot = Some(piece),
+    }
+}
+
+/// Transposed operand values of one value pass. An operand several matmul
+/// VJPs read — a recurrent weight, once per time step — is transposed once
+/// and kept until its last read; a transpose is a position copy, so reuse
+/// changes no bit.
+struct Transposes {
+    /// Matmul VJPs still to read each node's transpose.
+    reads: Vec<u32>,
+    cache: HashMap<usize, Matrix>,
+}
+
+impl Transposes {
+    /// Counts, over the nodes the pass will visit, every matmul VJP that
+    /// reads an operand's transpose.
+    fn plan(g: &Graph, order: &[Var], need: &[bool]) -> Self {
+        let mut reads = vec![0u32; need.len()];
+        for &node in order {
+            if let Op::MatMul(a, b) = *g.op(node) {
+                if need[a.0] {
+                    reads[b.0] += 1;
+                }
+                if need[b.0] {
+                    reads[a.0] += 1;
+                }
+            }
+        }
+        Self {
+            reads,
+            cache: HashMap::new(),
+        }
+    }
+
+    /// Calls `f` with `v`'s transposed value.
+    fn with<R>(&mut self, g: &Graph, v: Var, f: impl FnOnce(&Matrix) -> R) -> R {
+        let left = &mut self.reads[v.0];
+        *left = left.saturating_sub(1);
+        if *left == 0 {
+            match self.cache.remove(&v.0) {
+                Some(t) => f(&t),
+                None => f(&g.value(v).transpose()),
+            }
+        } else {
+            f(self
+                .cache
+                .entry(v.0)
+                .or_insert_with(|| g.value(v).transpose()))
+        }
+    }
+}
+
+impl Graph {
+    /// Values of the gradients of a scalar `output` with respect to each var
+    /// in `wrt`, computed without appending a node.
+    ///
+    /// The pass visits the nodes [`Graph::grad`] would visit, in the same
+    /// order, and applies each VJP to values: every piece is the per-element
+    /// op sequence of the nodes `grad` would record for it, and pieces are
+    /// added into their accumulators in the same order, so each returned
+    /// matrix is bit-identical to the value of `grad`'s matching var. The
+    /// one exception is a NaN's sign and payload, which Rust leaves
+    /// unspecified for arithmetic: with a VJP's op chain in one loop, the
+    /// compiler may rewrite `−t + 1` as `1 − t`. A node's gradient is
+    /// dropped once its VJP has run, unless the node is in `wrt`. Vars in
+    /// `wrt` that `output` does not depend on receive zeros.
+    ///
+    /// Use it wherever the gradient is only read (optimizer steps); use
+    /// `grad` when the gradient is itself differentiated again.
+    ///
+    /// # Panics
+    /// Panics when `output` is not a `1×1` scalar node.
+    pub fn grad_values(&self, output: Var, wrt: &[Var]) -> Vec<Matrix> {
+        assert_eq!(
+            self.shape(output),
+            (1, 1),
+            "grad_values requires a scalar output; got {:?}",
+            self.shape(output)
+        );
+        let need = self.demand(output, wrt);
+        let order = self.reverse_topo(output, &need);
+        let mut keep = vec![false; need.len()];
+        for w in wrt {
+            if let Some(k) = keep.get_mut(w.0) {
+                *k = true;
+            }
+        }
+        let mut transposes = Transposes::plan(self, &order, &need);
+        let mut grads: GradValues = vec![None; output.0 + 1];
+        grads[output.0] = Some(Matrix::scalar(1.0));
+
+        for node in order {
+            let op = self.op(node);
+            // A needed node without a needed operand is a requested var
+            // (leaf or not): its gradient is final and stays for the caller.
+            if !op_inputs(op).iter().any(|inp| need[inp.0]) {
+                continue;
+            }
+            let g = if keep[node.0] {
+                grads[node.0].clone()
+            } else {
+                grads[node.0].take()
+            };
+            if let Some(g) = g {
+                self.vjp_values(op, node, g, &need, &mut grads, &mut transposes);
+            }
+        }
+
+        wrt.iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let slot = grads.get_mut(w.0);
+                let value = if wrt[i + 1..].contains(w) {
+                    slot.and_then(|s| s.clone())
+                } else {
+                    slot.and_then(Option::take)
+                };
+                value.unwrap_or_else(|| {
+                    let (r, c) = self.shape(*w);
+                    Matrix::zeros(r, c)
+                })
+            })
+            .collect()
+    }
+
+    /// [`Graph::accumulate_vjp`] applied to values: adds `node`'s VJP pieces
+    /// (`g` is its gradient) into the accumulators of its needed operands.
+    /// Each arm forms, per element, the op chain the recorded arm appends —
+    /// in the same order, so the bits agree — without the intermediate
+    /// nodes, masks and padding leaves.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    fn vjp_values(
+        &self,
+        op: &Op,
+        node: Var,
+        g: Matrix,
+        need: &[bool],
+        grads: &mut GradValues,
+        transposes: &mut Transposes,
+    ) {
+        let y = self.value(node);
+        match *op {
+            Op::Leaf => {}
+            Op::Add(a, b) => {
+                if need[a.0] && need[b.0] {
+                    accumulate(grads, a, g.clone());
+                    accumulate(grads, b, g);
+                } else if need[a.0] {
+                    accumulate(grads, a, g);
+                } else {
+                    accumulate(grads, b, g);
+                }
+            }
+            Op::Sub(a, b) => {
+                if need[a.0] {
+                    let gb = need[b.0].then(|| g.map(|x| -x));
+                    accumulate(grads, a, g);
+                    if let Some(gb) = gb {
+                        accumulate(grads, b, gb);
+                    }
+                } else {
+                    accumulate(grads, b, g.map(|x| -x));
+                }
+            }
+            Op::Mul(a, b) => {
+                if need[a.0] {
+                    accumulate(grads, a, g.mul_elems(self.value(b)));
+                }
+                if need[b.0] {
+                    accumulate(grads, b, g.mul_elems(self.value(a)));
+                }
+            }
+            Op::Div(a, b) => {
+                if need[a.0] {
+                    accumulate(grads, a, g.zip(self.value(b), |g, b| g / b));
+                }
+                if need[b.0] {
+                    // −((g·a) / (b·b)), as the recorded nodes compute it.
+                    let num = g.mul_elems(self.value(a));
+                    accumulate(grads, b, num.zip(self.value(b), |n, b| -(n / (b * b))));
+                }
+            }
+            Op::Neg(a) => accumulate(grads, a, g.map(|x| -x)),
+            Op::AddScalar(a) => accumulate(grads, a, g),
+            Op::MulScalar(a, c) => accumulate(grads, a, g.mul_scalar(c)),
+            Op::PowScalar(a, p) => {
+                let ga = g.zip(self.value(a), |g, x| g * (x.powf(p - 1.0) * p));
+                accumulate(grads, a, ga);
+            }
+            Op::MatMul(a, b) => {
+                if need[a.0] {
+                    let ga = transposes.with(self, b, |bt| g.matmul(bt));
+                    accumulate(grads, a, ga);
+                }
+                if need[b.0] {
+                    let gb = transposes.with(self, a, |at| at.matmul(&g));
+                    accumulate(grads, b, gb);
+                }
+            }
+            Op::Transpose(a) => accumulate(grads, a, g.transpose()),
+            Op::Sigmoid(a) => accumulate(grads, a, g.zip(y, |g, y| g * (y * (-y + 1.0)))),
+            Op::Tanh(a) => accumulate(grads, a, g.zip(y, |g, y| g * (-(y * y) + 1.0))),
+            Op::Relu(a) => {
+                let ga = g.zip(self.value(a), |g, x| g * if x > 0.0 { 1.0 } else { 0.0 });
+                accumulate(grads, a, ga);
+            }
+            Op::Exp(a) => accumulate(grads, a, g.mul_elems(y)),
+            Op::Ln(a) => accumulate(grads, a, g.zip(self.value(a), |g, x| g / x)),
+            Op::Sqrt(a) => accumulate(grads, a, g.zip(y, |g, y| (g * 0.5) / y)),
+            Op::Abs(a) => {
+                let ga = g.zip(self.value(a), |g, x| g * if x >= 0.0 { 1.0 } else { -1.0 });
+                accumulate(grads, a, ga);
+            }
+            Op::Maximum(a, b) => self.select_values(a, b, &g, need, grads, |x, y| x >= y),
+            Op::Minimum(a, b) => self.select_values(a, b, &g, need, grads, |x, y| x <= y),
+            Op::SumAll(a) => {
+                let (r, c) = self.shape(a);
+                accumulate(grads, a, Matrix::full(r, c, g.as_scalar()));
+            }
+            Op::MeanAll(a) => {
+                let (r, c) = self.shape(a);
+                let scale = 1.0 / (r * c) as f32;
+                accumulate(grads, a, Matrix::full(r, c, g.as_scalar() * scale));
+            }
+            Op::SumRows(a) => accumulate(grads, a, g.repeat_rows(self.shape(a).0)),
+            Op::MeanRows(a) => {
+                let n = self.shape(a).0;
+                accumulate(grads, a, g.mul_scalar(1.0 / n as f32).repeat_rows(n));
+            }
+            Op::RepeatRows(a, _) => accumulate(grads, a, g.sum_rows()),
+            Op::BroadcastScalar(a, _, _) => accumulate(grads, a, Matrix::scalar(g.sum())),
+            Op::AddRow(a, row) => {
+                if need[row.0] {
+                    let gr = g.sum_rows();
+                    if need[a.0] {
+                        accumulate(grads, a, g);
+                    }
+                    accumulate(grads, row, gr);
+                } else {
+                    accumulate(grads, a, g);
+                }
+            }
+            Op::MulRow(a, row) => {
+                if need[a.0] {
+                    let rep = self.value(row).repeat_rows(self.shape(a).0);
+                    accumulate(grads, a, g.mul_elems(&rep));
+                }
+                if need[row.0] {
+                    accumulate(grads, row, g.mul_elems(self.value(a)).sum_rows());
+                }
+            }
+            Op::MulCol(a, col) => {
+                let gc = need[col.0].then(|| g.mul_elems(self.value(a)).sum_cols());
+                if need[a.0] {
+                    accumulate(grads, a, g.mul_col(self.value(col)));
+                }
+                if let Some(gc) = gc {
+                    accumulate(grads, col, gc);
+                }
+            }
+            Op::SumCols(a) => accumulate(grads, a, g.repeat_cols(self.shape(a).1)),
+            Op::RepeatCols(a, _) => accumulate(grads, a, g.sum_cols()),
+            Op::ConcatCols(ref parts) => {
+                let mut start = 0;
+                for &p in parts {
+                    let w = self.shape(p).1;
+                    if need[p.0] {
+                        accumulate(grads, p, g.slice_cols(start, start + w));
+                    }
+                    start += w;
+                }
+            }
+            Op::ConcatRows(ref parts) => {
+                let mut start = 0;
+                for &p in parts {
+                    let h = self.shape(p).0;
+                    if need[p.0] {
+                        accumulate(grads, p, g.slice_rows(start, start + h));
+                    }
+                    start += h;
+                }
+            }
+            // The padding is `+0.0` and is still added: `−0.0 + +0.0` is
+            // `+0.0`, so skipping it would change a `−0.0` accumulator.
+            Op::SliceCols(a, start, end) => {
+                let (r, c) = self.shape(a);
+                let ga = if start == 0 && end == c {
+                    g
+                } else {
+                    let (left, right) = (Matrix::zeros(r, start), Matrix::zeros(r, c - end));
+                    Matrix::concat_cols(&[&left, &g, &right])
+                };
+                accumulate(grads, a, ga);
+            }
+            Op::SliceRows(a, start, end) => {
+                let (r, c) = self.shape(a);
+                let ga = if start == 0 && end == r {
+                    g
+                } else {
+                    let (top, bottom) = (Matrix::zeros(start, c), Matrix::zeros(r - end, c));
+                    Matrix::concat_rows(&[&top, &g, &bottom])
+                };
+                accumulate(grads, a, ga);
+            }
+        }
+    }
+
+    /// [`Graph::select_vjp`] applied to values: `g ⊙ m` toward `a` and
+    /// `g ⊙ (1 − m)` toward `b`, where `m` is 1 where `pick_a(a, b)` holds.
+    fn select_values(
+        &self,
+        a: Var,
+        b: Var,
+        g: &Matrix,
+        need: &[bool],
+        grads: &mut GradValues,
+        pick_a: impl Fn(f32, f32) -> bool + Sync,
+    ) {
+        let mask_a = self
+            .value(a)
+            .zip(self.value(b), |x, y| if pick_a(x, y) { 1.0 } else { 0.0 });
+        if need[a.0] {
+            accumulate(grads, a, g.mul_elems(&mask_a));
+        }
+        if need[b.0] {
+            accumulate(grads, b, g.zip(&mask_a, |g, m| g * (1.0 - m)));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -597,6 +963,30 @@ mod tests {
         assert_eq!(g.len() - before, 6);
         assert_eq!(g.value(grads[0]).data(), &[1.0, 1.0, 1.0, 1.0]);
         assert_eq!(g.value(grads[1]).data(), &[4.0, 4.0, 6.0, 6.0]);
+    }
+
+    #[test]
+    fn value_pass_appends_nothing_and_zeros_unreachable_vars() {
+        let mut g = Graph::new();
+        let a = g.leaf(Matrix::row(&[1.0, -2.0]));
+        let b = g.leaf(Matrix::from_vec(2, 1, vec![3.0, 4.0]));
+        let y = g.sigmoid(a);
+        let loss = g.sum_all(y);
+        let before = g.len();
+        let values = g.grad_values(loss, &[b, a, a]);
+        assert_eq!(g.len(), before, "the value pass appended nodes");
+        assert_eq!(values[0], Matrix::zeros(2, 1));
+        let reference = g.grad(loss, &[a])[0];
+        for v in &values[1..] {
+            let bits: Vec<u32> = v.data().iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u32> = g
+                .value(reference)
+                .data()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(bits, want);
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! itself expressed through graph ops — so gradients are first-class values
 //! that can be differentiated again. This double-backward capability is what
 //! lets the PACE attack differentiate through unrolled SGD updates of a
-//! surrogate model (a hypergradient).
+//! surrogate model (a hypergradient). A gradient that is only read — every
+//! optimizer step — comes from [`Graph::grad_values`] instead, which returns
+//! the same bits as matrices and appends nothing.
 
 use crate::matrix::Matrix;
 
@@ -433,14 +435,7 @@ impl Graph {
 
     /// Stacks an `n×1` column `d` times into `n×d`.
     pub fn repeat_cols(&mut self, a: Var, d: usize) -> Var {
-        let m = &self.nodes[a.0].value;
-        assert_eq!(m.cols(), 1, "repeat_cols requires Nx1");
-        let mut data = Vec::with_capacity(m.rows() * d);
-        for r in 0..m.rows() {
-            let x = m.data()[r];
-            data.extend(std::iter::repeat_n(x, d));
-        }
-        let v = Matrix::from_vec(m.rows(), d, data);
+        let v = self.nodes[a.0].value.repeat_cols(d);
         self.push(Op::RepeatCols(a, d), v)
     }
 

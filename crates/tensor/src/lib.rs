@@ -35,8 +35,10 @@
 //!   counters/histograms, emitted as JSONL and guaranteed not to perturb
 //!   results.
 //!
-//! The eager [`Graph`] is the only executor: every value, gradient and
-//! hypergradient is computed as its node is appended.
+//! The eager [`Graph`] is the only executor: every value, and every gradient
+//! that is differentiated again, is computed as its node is appended. A
+//! gradient that is only read comes from [`Graph::grad_values`], which walks
+//! the same tape, returns the same bits as matrices and appends nothing.
 //!
 //! # Example
 //!
@@ -47,6 +49,10 @@
 //! let x = g.leaf(Matrix::row(&[2.0]));
 //! let y = g.mul(x, x);            // y = x²
 //! let y = g.sum_all(y);
+//! // First order, as values: nothing is appended to the tape.
+//! let len = g.len();
+//! assert_eq!(g.grad_values(y, &[x])[0].data(), &[4.0]);
+//! assert_eq!(g.len(), len);
 //! let dy = g.grad(y, &[x])[0];    // dy/dx = 2x = 4
 //! assert_eq!(g.value(dy).data(), &[4.0]);
 //! // Double backward: d²y/dx² = 2

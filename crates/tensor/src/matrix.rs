@@ -577,6 +577,23 @@ impl Matrix {
         }
     }
 
+    /// Stacks `d` copies of an `n×1` column vector into an `n×d` matrix.
+    ///
+    /// # Panics
+    /// Panics if the matrix is not a single column.
+    pub fn repeat_cols(&self, d: usize) -> Self {
+        assert_eq!(self.cols, 1, "repeat_cols requires Nx1");
+        let mut data = Vec::with_capacity(self.rows * d);
+        for &x in &self.data {
+            data.extend(std::iter::repeat_n(x, d));
+        }
+        Self {
+            rows: self.rows,
+            cols: d,
+            data,
+        }
+    }
+
     /// Horizontal concatenation of matrices sharing a row count.
     ///
     /// # Panics

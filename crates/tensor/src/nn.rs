@@ -387,11 +387,7 @@ mod tests {
             let sq = g.mul(diff, diff);
             let loss = g.mean_all(sq);
             final_loss = g.value(loss).as_scalar();
-            let grads: Vec<Matrix> = g
-                .grad(loss, bind.vars())
-                .iter()
-                .map(|&v| g.value(v).clone())
-                .collect();
+            let grads = g.grad_values(loss, bind.vars());
             opt.step(&mut ps, &grads);
         }
         assert!(final_loss < 0.05, "XOR loss did not converge: {final_loss}");

@@ -1,9 +1,10 @@
 //! First-order optimizers operating on a [`ParamStore`].
 //!
-//! A training step materializes gradient matrices from the graph (via
-//! [`crate::Graph::grad`] + [`crate::Graph::value`]) and hands them to an
-//! optimizer together with the store. Optimizer state (Adam moments) is keyed
-//! by parameter order, so one optimizer must stay paired with one store.
+//! A training step takes gradient matrices from the graph with the value-only
+//! backward pass ([`crate::Graph::grad_values`], which appends nothing to the
+//! tape) and hands them to an optimizer together with the store. Optimizer
+//! state (Adam moments) is keyed by parameter order, so one optimizer must
+//! stay paired with one store.
 
 use crate::matrix::Matrix;
 use crate::param::ParamStore;
@@ -226,11 +227,7 @@ mod tests {
             let xv = bind.var(x);
             let diff = g.add_scalar(xv, -3.0);
             let loss = g.mul(diff, diff);
-            let grads: Vec<Matrix> = g
-                .grad(loss, bind.vars())
-                .iter()
-                .map(|&v| g.value(v).clone())
-                .collect();
+            let grads = g.grad_values(loss, bind.vars());
             opt.step(&mut ps, &grads);
         }
         ps.get(x).as_scalar()

@@ -6,6 +6,16 @@
 //! gradients, grad-of-grad through the pruned first-order tape, and
 //! matrix-seeded VJPs, and it pins that pruning never appends more nodes
 //! than the reference.
+//!
+//! The value pass `grad_values(out, S)` is held to `grad(out, S)` on the same
+//! tapes, bit for bit: at first order, and on the grad-of-grad tape, which
+//! already holds recorded gradient nodes (the attack's outer-hypergradient
+//! shape). Leaf pools mix in `±0.0`, NaN and `±Inf`, and the value pass must
+//! leave the tape's length unchanged. A NaN matches any NaN: Rust leaves the
+//! sign and payload of an arithmetic NaN unspecified, and once a VJP's op
+//! chain runs in one loop the compiler may rewrite `−t + 1` as `1 − t`, which
+//! keeps every other bit but not the NaN's sign. Every caller zeroes
+//! non-finite gradient entries before it reads them.
 
 use pace_tensor::{Graph, Matrix, Var};
 use proptest::prelude::*;
@@ -169,16 +179,53 @@ fn grad_energy(g: &mut Graph, ds: &[Var]) -> Var {
     g.mul_scalar(acc, 0.5)
 }
 
+/// Leaf values: mostly ordinary floats, with signed zeros, NaN and `±Inf`
+/// mixed in.
+fn leaf_values() -> impl Strategy<Value = Vec<f32>> {
+    let value = (0u8..24, -1.5f32..1.5).prop_map(|(pick, x)| match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::NAN,
+        3 => f32::INFINITY,
+        4 => f32::NEG_INFINITY,
+        _ => x,
+    });
+    prop::collection::vec(value, 11)
+}
+
+/// The bits of each matrix, with every NaN mapped to one pattern.
+fn canonical_bits<'a>(ms: impl IntoIterator<Item = &'a Matrix>) -> Vec<Vec<u32>> {
+    let bits = |x: f32| {
+        if x.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    };
+    ms.into_iter()
+        .map(|m| m.data().iter().map(|&x| bits(x)).collect())
+        .collect()
+}
+
+/// `grad_values(out, wrt)`, checked to append nothing to the tape.
+fn value_pass(g: &Graph, out: Var, wrt: &[Var]) -> Vec<Matrix> {
+    let before = g.len();
+    let values = g.grad_values(out, wrt);
+    assert_eq!(g.len(), before, "grad_values appended nodes");
+    values
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// First order and grad-of-grad: pruned ≡ all-leaves reference, bit for
-    /// bit, with no more nodes appended.
+    /// bit, with no more nodes appended; the value pass ≡ pruned, appending
+    /// nothing.
     #[test]
     fn pruned_grad_matches_all_leaves_reference(
         r in 1usize..4,
         c in 1usize..4,
-        vals in prop::collection::vec(-1.5f32..1.5, 11),
+        vals in leaf_values(),
         picks in prop::collection::vec((0u8..=255, 0u8..=255), 1..10),
         mask in 0u32..=u32::MAX,
     ) {
@@ -190,11 +237,13 @@ proptest! {
 
         let out = pruned.sum_all(head);
         let full_out = full.sum_all(head);
+        let values = canonical_bits(&value_pass(&pruned, out, &s));
         let before = pruned.len();
         let d = pruned.grad(out, &s);
         let pruned_added = pruned.len() - before;
         let (d_ref, full_added) = reference_grad(&mut full, full_out, &s);
         prop_assert_eq!(bits(&pruned, &d), bits(&full, &d_ref));
+        prop_assert_eq!(values, canonical_bits(d.iter().map(|&v| pruned.value(v))));
         prop_assert!(
             pruned_added <= full_added,
             "pruned grad appended {} nodes, the reference {}", pruned_added, full_added
@@ -202,11 +251,13 @@ proptest! {
 
         let h = grad_energy(&mut pruned, &d);
         let h_ref = grad_energy(&mut full, &d_ref);
+        let values = canonical_bits(&value_pass(&pruned, h, &s));
         let before = pruned.len();
         let d2 = pruned.grad(h, &s);
         let pruned_added = pruned.len() - before;
         let (d2_ref, full_added) = reference_grad(&mut full, h_ref, &s);
         prop_assert_eq!(bits(&pruned, &d2), bits(&full, &d2_ref));
+        prop_assert_eq!(values, canonical_bits(d2.iter().map(|&v| pruned.value(v))));
         prop_assert!(
             pruned_added <= full_added,
             "pruned grad-of-grad appended {} nodes, the reference {}", pruned_added, full_added

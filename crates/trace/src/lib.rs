@@ -504,9 +504,10 @@ impl Histogram {
 
 /// FLOPs executed by the matmul kernel (2·n·k·m per product).
 pub static MATMUL_FLOPS: Counter = Counter::new("matmul_flops");
-/// Nodes appended to eager tapes by reverse-mode differentiation
+/// Nodes appended to eager tapes by recording reverse-mode differentiation
 /// (`pace_tensor::Graph::grad_seeded`): the VJP pieces, seeds, masks and
-/// zero gradients one backward pass builds.
+/// zero gradients one backward pass builds. Value-only passes
+/// (`Graph::grad_values`) append none.
 pub static GRAD_NODES: Counter = Counter::new("grad_nodes");
 /// Tasks executed by the deterministic pool (`pace_runtime`).
 pub static POOL_TASKS: Counter = Counter::new("pool_tasks");

@@ -80,11 +80,13 @@
 //! renders the captured trace — a span tree with per-phase totals (gated:
 //! the top-level phases must sum to within 1% of the measured wall time)
 //! and counter and histogram snapshots (with a summary line for
-//! `grad_nodes`, the nodes reverse-mode differentiation appended to eager
-//! tapes). Writes `BENCH_trace.json` at the workspace root and finishes
-//! with a disarmed-overhead gate (a disarmed counter increment must cost
-//! about one relaxed atomic load). With a path argument: parses and renders
-//! an existing trace file, no gates.
+//! `grad_nodes`, the nodes recording backward passes appended to eager
+//! tapes; value-only passes append none). A second gate requires the
+//! direct children of `attack::accelerated` and of `surrogate::train` to
+//! cover at least 95% of each. Writes `BENCH_trace.json` at the workspace
+//! root and finishes with a disarmed-overhead gate (a disarmed counter
+//! increment must cost about one relaxed atomic load). With a path
+//! argument: parses and renders an existing trace file, no gates.
 //!
 //! # `race-report` — the concurrency-safety gate
 //!
@@ -346,7 +348,26 @@ fn print_span_group(spans: &[TraceSpan], nodes: &[usize], indent: usize) {
     }
 }
 
-/// Renders the parsed trace: span tree, counters, histograms.
+/// Spans whose direct children must cover at least
+/// [`MIN_CHILD_COVERAGE`] of their time: the attack loop, whose detector
+/// training once ran outside any child span, and surrogate training, whose
+/// imitation epochs did.
+const COVERED_SPANS: [&str; 2] = ["attack::accelerated", "surrogate::train"];
+const MIN_CHILD_COVERAGE: f64 = 0.95;
+
+/// The share of the total time of every span named `name` that their
+/// direct children account for; `None` when no such span was recorded.
+fn child_coverage(t: &TraceData, name: &str) -> Option<f64> {
+    let (mut parent, mut children) = (0u64, 0u64);
+    for s in t.spans.iter().filter(|s| s.name == name) {
+        parent += s.dur;
+        children += s.children.iter().map(|&c| t.spans[c].dur).sum::<u64>();
+    }
+    (parent > 0).then(|| children as f64 / parent as f64)
+}
+
+/// Renders the parsed trace: span tree, counters, histograms, and the
+/// child coverage of [`COVERED_SPANS`].
 fn print_trace_report(t: &TraceData) {
     println!("spans ({} recorded):", t.spans.len());
     print_span_group(&t.spans, &t.roots, 0);
@@ -364,6 +385,13 @@ fn print_trace_report(t: &TraceData) {
             for &(lo, count) in buckets {
                 println!("    >= {lo:<12} {count}");
             }
+        }
+    }
+    println!("\nchild coverage:");
+    for name in COVERED_SPANS {
+        match child_coverage(t, name) {
+            Some(c) => println!("  {name:<24} {:>6.2}%", c * 100.0),
+            None => println!("  {name:<24} not recorded"),
         }
     }
 }
@@ -599,7 +627,10 @@ fn trace_report() -> ExitCode {
         .iter()
         .find(|(name, _)| name == trace::GRAD_NODES.name())
         .map_or(0, |&(_, n)| n);
-    println!("autograd: grad_seeded appended {grad_nodes} nodes across the demo");
+    println!(
+        "autograd: recording backward passes (Graph::grad) appended {grad_nodes} nodes \
+         across the demo"
+    );
 
     if let Err(e) = write_bench_json(&root.join("BENCH_trace.json"), wall_s, &phases, &t) {
         eprintln!("trace-report: cannot write BENCH_trace.json: {e}");
@@ -614,6 +645,24 @@ fn trace_report() -> ExitCode {
              ({wall_s:.3} s) by more than 1% — untraced work inside the demo"
         );
         ok = false;
+    }
+    for name in COVERED_SPANS {
+        match child_coverage(&t, name) {
+            Some(c) if c >= MIN_CHILD_COVERAGE => {}
+            Some(c) => {
+                eprintln!(
+                    "trace-report: the children of {name} cover {:.2}% of it, below {:.0}% \
+                     — untraced work inside it",
+                    c * 100.0,
+                    MIN_CHILD_COVERAGE * 100.0
+                );
+                ok = false;
+            }
+            None => {
+                eprintln!("trace-report: no {name} span in the demo trace");
+                ok = false;
+            }
+        }
     }
     ok &= disarmed_overhead_ok();
     if ok {

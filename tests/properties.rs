@@ -555,7 +555,10 @@ fn value_bits(g: &Graph, vars: &[Var]) -> Vec<Vec<u32>> {
 /// The production tapes — one CE train step and the attack's K=1 and K=4
 /// hypergradient — differentiate demand-driven. For every CE model type
 /// they must give the same bits as the all-leaves reference, on a smaller
-/// eager tape.
+/// eager tape. The value-only pass the optimizer steps run
+/// (`Graph::grad_values`) must give the recorded gradients' bits too —
+/// for the hypergradient, through the unroll's recorded inner gradients —
+/// and append nothing.
 #[test]
 fn production_gradients_match_all_leaves_reference() {
     let ds = build(DatasetKind::Tpch, Scale::quick(), 2);
@@ -575,7 +578,8 @@ fn production_gradients_match_all_leaves_reference() {
     for ty in CeModelType::all() {
         let model = CeModel::new(ty, &ds, CeConfig::quick(), 6);
 
-        // One CE train step: loss and ∂loss/∂θ.
+        // One CE train step: loss and ∂loss/∂θ, and the vars they are
+        // taken with respect to.
         let step_tape = |reference: bool| {
             let mut g = Graph::new();
             let bind = model.params().bind(&mut g);
@@ -589,12 +593,13 @@ fn production_gradients_match_all_leaves_reference() {
             };
             let mut outputs = vec![loss];
             outputs.extend(grads);
-            (g, outputs)
+            (g, outputs, bind.vars().to_vec())
         };
+        let (rg, r_outputs, _) = step_tape(true);
         let mut cases = vec![(
             "ce train step".to_string(),
             step_tape(false),
-            step_tape(true),
+            (rg, r_outputs),
         )];
         for k in [1usize, 4] {
             let pruned = build_hypergradient_tape(
@@ -613,11 +618,30 @@ fn production_gradients_match_all_leaves_reference() {
                 k,
                 1e-2,
             );
-            cases.push((format!("hypergradient K={k}"), pruned, reference));
+            // The poisoning batch `x` is the tape's first leaf.
+            let (g, outputs) = pruned;
+            let x = g.leaves()[0];
+            cases.push((
+                format!("hypergradient K={k}"),
+                (g, outputs, vec![x]),
+                reference,
+            ));
         }
 
-        for (what, (g, outputs), (rg, r_outputs)) in &cases {
+        for (what, (g, outputs, wrt), (rg, r_outputs)) in &cases {
             let ctx = format!("{} {what}", ty.name());
+            let before = g.len();
+            let values: Vec<Vec<u32>> = g
+                .grad_values(outputs[0], wrt)
+                .iter()
+                .map(|m| m.data().iter().map(|x| x.to_bits()).collect())
+                .collect();
+            assert_eq!(g.len(), before, "{ctx}: the value pass appended nodes");
+            assert_eq!(
+                values,
+                value_bits(g, &outputs[1..]),
+                "{ctx}: value-pass gradients differ from the recorded ones"
+            );
             assert_eq!(
                 value_bits(g, outputs),
                 value_bits(rg, r_outputs),
