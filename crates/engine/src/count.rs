@@ -58,6 +58,14 @@ use pace_runtime as pool;
 use pace_workload::{LabeledQuery, Query, Workload};
 use std::collections::HashMap;
 
+/// Minimum queries per chunk of [`Executor::count_batch`]'s fan-out. One
+/// query is a whole `COUNT(*)` pass over its pattern's tables (~17 µs at
+/// quick scale, see the module docs), so a single query already amortizes
+/// a pool task; [`pool::chunk_ranges`] caps the grid at 32 chunks, so large
+/// batches get proportionally larger chunks. A constant, so the grid is a
+/// function of the batch size alone.
+pub const COUNT_BATCH_GRAIN: usize = 1;
+
 /// The join-key dictionary of one schema join edge.
 struct EdgeDict {
     /// Dictionary slot of every row's join value, per endpoint: `[left,
@@ -257,28 +265,15 @@ impl<'a> Executor<'a> {
     }
 
     /// Exact cardinalities of a batch of queries, fanned out over the
-    /// deterministic pool (`PACE_THREADS`) when the calibrated
-    /// profitability oracle says the batch is worth it. Queries are
-    /// independent, the join-key dictionaries are shared read-only across
-    /// workers, and per-chunk results are concatenated in chunk order, so
-    /// the result is identical to mapping [`Executor::count`] sequentially
-    /// whatever grain the oracle picks. With one pool worker the oracle is
-    /// never consulted (see [`pool::cost::fan_out`]).
+    /// deterministic pool (`PACE_THREADS`) in chunks of at least
+    /// [`COUNT_BATCH_GRAIN`] queries (at most 32 chunks, see
+    /// [`pool::chunk_ranges`]). Queries are independent, the join-key
+    /// dictionaries are shared read-only across workers, and per-chunk
+    /// results are concatenated in chunk order, so the result is identical
+    /// to mapping [`Executor::count`] sequentially at any thread count.
     pub fn count_batch(&self, queries: &[Query]) -> Vec<u64> {
         let _span = pace_trace::span("engine::count_batch");
-        // One query costs O(sum of pattern table rows); model an average
-        // query as one pass over the dataset's rows (a few flops and one
-        // i64 read per row). The old one-task-per-query fan-out paid pool
-        // dispatch per query and lost to sequential execution on hosts
-        // with little effective parallelism.
-        let rows: usize = self.ds.tables.iter().map(pace_data::Table::num_rows).sum();
-        let decision = pool::cost::fan_out(pool::cost::RegionCost {
-            items: queries.len(),
-            flops_per_item: 4.0 * rows as f64,
-            bytes_per_item: (rows * size_of::<i64>()) as f64,
-        });
-        let grain = decision.grain(queries.len());
-        pool::par_chunks(queries.len(), grain, |lo, hi| {
+        pool::par_chunks(queries.len(), COUNT_BATCH_GRAIN, |lo, hi| {
             queries[lo..hi]
                 .iter()
                 .map(|q| self.count(q))

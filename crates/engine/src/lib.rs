@@ -40,7 +40,7 @@ mod exec;
 mod optimizer;
 mod traditional;
 
-pub use count::{ln_max_cardinality, naive_count, Executor};
+pub use count::{ln_max_cardinality, naive_count, Executor, COUNT_BATCH_GRAIN};
 pub use estimator::{CardEstimator, OracleEstimator, ScaledEstimator};
 pub use exec::{run_plan, run_query, total_latency, CostModel, ExecutionReport};
 pub use optimizer::{optimize, JoinOp, Plan, INDEX_LOOKUP_COST};

@@ -27,10 +27,11 @@
 //!
 //! The contract is machine-checked from two directions (see [`race`]):
 //!
-//! * `PACE_RACE=<0|1|strict>` arms a shadow write-set checker: every region
-//!   records the slot indices and `(lo, hi)` ranges its tasks receive and
-//!   verifies after scope join that they are pairwise-disjoint and exactly
-//!   cover `0..len`. Disarmed cost is one relaxed atomic load per region.
+//! * `PACE_RACE=<0|1|strict>` arms a shadow write-set checker: [`run`]
+//!   records the slot index each task receives and [`par_chunks`] its
+//!   `(lo, hi)` grid, and both are verified to be pairwise-disjoint and to
+//!   exactly cover `0..len`. Disarmed cost is one relaxed atomic load per
+//!   region.
 //! * `PACE_SCHED=<seed>` turns the work-pulling loop adversarial: task
 //!   execution order is permuted by a seeded PRNG and randomized yields are
 //!   injected between pulls. Results must not change — `xtask race-report`
@@ -46,7 +47,9 @@
 //!
 //! * `0` or unset — auto: [`std::thread::available_parallelism`];
 //! * `1` — fully sequential (no worker threads are ever spawned);
-//! * `N` — exactly `N` workers per parallel region.
+//! * `N` — exactly `N` workers per parallel region;
+//! * anything else (`two`, `-1`, `1.5`) — one worker: a malformed value
+//!   never silently claims every hardware thread ([`parse_threads`]).
 //!
 //! The variable is read once, on first use; tests and benchmarks override
 //! it at any time with [`set_threads`]. An explicit [`set_threads`] always
@@ -60,9 +63,11 @@
 //! is the unsafe core of rayon). Instead each parallel region performs one
 //! `std::thread::scope` fan-out — the only place in the workspace allowed
 //! to touch raw threads (`xtask lint` enforces this). Regions are coarse
-//! (a chunk of queries, a panel of matrix rows), so the few-microsecond
-//! spawn cost is noise; the env-var parse and thread-count decision happen
-//! once per process.
+//! (a chunk of `COUNT(*)` queries, a seed, a bench grid cell), so the
+//! few-microsecond spawn cost is noise; the env-var parse and thread-count
+//! decision happen once per process. Per-kernel work (matmul rows,
+//! elementwise maps) never fans out: the CE models' kernels are far too
+//! small to amortize a scope spawn.
 //!
 //! Parallel regions do not nest: a worker thread that reaches another
 //! parallel region runs it inline. Because of the determinism contract this
@@ -70,7 +75,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cost;
 pub mod flags;
 pub mod race;
 
@@ -94,16 +98,25 @@ fn auto_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// The configured worker count: `PACE_THREADS` resolved once (`0`/unset →
-/// available parallelism), or the latest [`set_threads`] override.
+/// Resolves a raw `PACE_THREADS` value to a worker count: unset or `0`
+/// means `auto`, a positive integer means that many workers, and anything
+/// unparsable means one worker — a typo degrades to sequential execution
+/// instead of silently using every hardware thread.
+pub fn parse_threads(raw: Option<&str>, auto: usize) -> usize {
+    match raw.map(|v| v.trim().parse::<usize>()) {
+        None | Some(Ok(0)) => auto,
+        Some(Ok(n)) => n,
+        Some(Err(_)) => 1,
+    }
+}
+
+/// The configured worker count: `PACE_THREADS` resolved once by
+/// [`parse_threads`], or the latest [`set_threads`] override.
 pub fn threads() -> usize {
     match THREADS.load(Ordering::Relaxed) {
         UNRESOLVED => {
-            let parsed = std::env::var("PACE_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(0);
-            let resolved = if parsed == 0 { auto_threads() } else { parsed };
+            let raw = std::env::var("PACE_THREADS").ok();
+            let resolved = parse_threads(raw.as_deref(), auto_threads());
             // Publish only if still unresolved: a concurrent `set_threads`
             // override must not be clobbered by a late env-derived store.
             match THREADS.compare_exchange(
@@ -167,28 +180,6 @@ pub fn chunk_ranges(len: usize, min_chunk: usize) -> Vec<(usize, usize)> {
         start += size;
     }
     out
-}
-
-/// Splits one output buffer into the disjoint `&mut` chunks of a grid
-/// (normally from [`chunk_ranges`]), pairing each chunk with its `lo`
-/// offset. This is the sanctioned hand-off for parallel `&mut` access:
-/// split before the fan-out, move each chunk into its task.
-///
-/// The split is sequential by chunk *size*, so a grid with a gap or overlap
-/// silently mislabels chunks — exactly the bug class the `PACE_RACE`
-/// write-set checker (and the [`for_each_split`] wrapper) exists to catch.
-pub fn split_by_grid<'a, T>(
-    data: &'a mut [T],
-    grid: &[(usize, usize)],
-) -> Vec<(usize, &'a mut [T])> {
-    let mut rest = data;
-    let mut parts = Vec::with_capacity(grid.len());
-    for &(lo, hi) in grid {
-        let (head, tail) = rest.split_at_mut(hi - lo);
-        parts.push((lo, head));
-        rest = tail;
-    }
-    parts
 }
 
 /// One pull permutation + jitter stream per region when `PACE_SCHED` is
@@ -291,50 +282,6 @@ pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs `f(i, item)` for each owned item, one task per item. Ownership
-/// transfer is what lets callers hand each task a disjoint `&mut` sub-slice
-/// of one output buffer (split before the fan-out) — [`for_each_split`]
-/// packages that pattern, write-set checking included.
-#[track_caller]
-pub fn for_each_owned<T: Send>(items: Vec<T>, f: impl Fn(usize, T) + Sync) {
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    run(slots.len(), |i| {
-        let item = lock_ignore_poison(&slots[i])
-            .take()
-            .expect("pool task item taken exactly once");
-        f(i, item);
-    });
-}
-
-/// Splits `data` over `grid` (see [`split_by_grid`]) and runs
-/// `f(lo, chunk)` for each part in parallel — the checked primitive for
-/// writing one buffer from many tasks. When `PACE_RACE` is armed the
-/// region records the `(lo, lo + chunk.len())` range each task received
-/// and verifies after join that the ranges tile `0..data.len()` exactly;
-/// a gap or overlap in a hand-rolled grid becomes a typed `RaceReport`
-/// instead of silently misplaced writes.
-#[track_caller]
-pub fn for_each_split<T: Send>(
-    data: &mut [T],
-    grid: &[(usize, usize)],
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    let caller = std::panic::Location::caller();
-    let recorder = race::armed()
-        .then(|| race::RegionRecorder::new(race::site_label("for_each_split", caller), data.len()));
-    let parts = split_by_grid(data, grid);
-    let rec = recorder.as_ref();
-    for_each_owned(parts, |task, (lo, chunk)| {
-        if let Some(r) = rec {
-            r.record(task, lo, lo + chunk.len());
-        }
-        f(lo, chunk);
-    });
-    if let Some(r) = recorder {
-        r.finish();
-    }
-}
-
 /// Maps `f` over `items` in parallel (one task per item — for coarse-grained
 /// items like experiment cells), returning results in **input order**.
 #[track_caller]
@@ -424,6 +371,19 @@ mod tests {
                 assert_eq!(pos, len, "grid does not cover len={len}");
                 assert!(grid.len() <= TARGET_CHUNKS);
             }
+        }
+    }
+
+    #[test]
+    fn pace_threads_values_resolve_without_the_environment() {
+        assert_eq!(parse_threads(None, 6), 6);
+        assert_eq!(parse_threads(Some("0"), 6), 6);
+        assert_eq!(parse_threads(Some(" 0 "), 6), 6);
+        assert_eq!(parse_threads(Some("1"), 6), 1);
+        assert_eq!(parse_threads(Some(" 3\n"), 6), 3);
+        assert_eq!(parse_threads(Some("64"), 6), 64);
+        for malformed in ["two", "", "-1", "1.5", "0x4", "4 workers"] {
+            assert_eq!(parse_threads(Some(malformed), 6), 1, "{malformed:?}");
         }
     }
 
@@ -548,31 +508,5 @@ mod tests {
         // nested tasks always report the worker flag (they ran inline).
         assert!(outer.into_iter().all(|b| b));
         set_threads(0);
-    }
-
-    #[test]
-    fn for_each_split_hands_out_disjoint_buffers() {
-        let mut out = vec![0u32; 100];
-        let grid = chunk_ranges(out.len(), 10);
-        set_threads(3);
-        for_each_split(&mut out, &grid, |lo, chunk| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = (lo + j) as u32;
-            }
-        });
-        set_threads(0);
-        assert!(out.iter().enumerate().all(|(i, &v)| v as usize == i));
-    }
-
-    #[test]
-    fn split_by_grid_matches_grid_labels() {
-        let mut data = vec![0u8; 37];
-        let grid = chunk_ranges(data.len(), 5);
-        let parts = split_by_grid(&mut data, &grid);
-        assert_eq!(parts.len(), grid.len());
-        for ((lo, chunk), &(glo, ghi)) in parts.iter().zip(&grid) {
-            assert_eq!(*lo, glo);
-            assert_eq!(chunk.len(), ghi - glo);
-        }
     }
 }

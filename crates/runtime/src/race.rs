@@ -6,19 +6,19 @@
 //! Safe Rust already rules out unsynchronized aliasing, but the pool's
 //! determinism contract needs more: each parallel region must hand its
 //! tasks ranges that are **pairwise-disjoint** and **exactly cover**
-//! `0..len`. A grid with a gap does not alias memory — `split_by_grid`
-//! hands out sequential chunks whose *labels* silently drift from the data
-//! they cover, so chunk `(lo, hi)` computes someone else's elements and the
-//! result depends on the grid, not just the input. `PACE_RACE` catches
-//! exactly that class of bug at run time, with the shared `0/1/strict`
-//! grammar ([`crate::flags`]):
+//! `0..len`. A grid with a gap or an overlap does not alias memory, but a
+//! task whose range is missing never runs and a task run twice writes its
+//! slot twice, so the result depends on the grid, not just the input.
+//! `PACE_RACE` catches exactly that class of bug at run time, with the
+//! shared `0/1/strict` grammar ([`crate::flags`]):
 //!
-//! * armed, every region records per task the slot index or `(lo, hi)`
-//!   range the task received through [`crate::run`] / [`crate::par_map`] /
-//!   [`crate::par_chunks`] / [`crate::for_each_split`], and after the scope
-//!   joins verifies disjointness and exact coverage — a violation is a
-//!   typed [`RaceReport`] (region site, overlapping tasks, ranges), printed
-//!   under `PACE_RACE=1` and fatal under `PACE_RACE=strict`;
+//! * armed, [`crate::run`] (and through it [`crate::par_map`] /
+//!   [`crate::par_try_map`]) records the slot index every task received
+//!   and verifies after the scope joins that each slot ran exactly once,
+//!   and [`crate::par_chunks`] verifies that its `(lo, hi)` grid tiles
+//!   `0..len` before it fans out — a violation is a typed [`RaceReport`]
+//!   (region site, overlapping tasks, ranges), printed under `PACE_RACE=1`
+//!   and fatal under `PACE_RACE=strict`;
 //! * disarmed, the whole apparatus is one relaxed atomic load per region.
 //!
 //! # `PACE_SCHED=<seed>` — the adversarial scheduler
@@ -110,8 +110,8 @@ pub fn set_sched(seed: Option<u64>) {
 // ---- the write-set checker --------------------------------------------------
 
 /// One recorded hand-off: pool task `task` received the half-open range
-/// `[lo, hi)` of the region's output (indices for slot-per-task regions,
-/// element offsets for split-buffer regions).
+/// `[lo, hi)` of the region's output (one slot index for [`crate::run`]
+/// tasks, a chunk of item offsets for [`crate::par_chunks`] grids).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TaskSpan {
     /// Pool task index within the region.

@@ -1,7 +1,7 @@
-//! Concurrency-safety integration tests for the pool: property-tested grid
-//! hand-offs (pairwise-disjoint, exact cover), deterministic panic
-//! propagation at scope join, and the armed `PACE_RACE` checker catching a
-//! seeded dirty region.
+//! Concurrency-safety integration tests for the pool: property-tested chunk
+//! grids (pairwise-disjoint, exact cover), deterministic panic propagation
+//! at scope join, and the armed `PACE_RACE` checker catching a seeded dirty
+//! write set.
 
 use pace_runtime as pool;
 use pace_runtime::flags::FlagMode;
@@ -23,30 +23,6 @@ proptest! {
             .map(|(task, &(lo, hi))| race::TaskSpan { task, lo, hi })
             .collect();
         prop_assert!(race::check_write_set("prop::grid", len, &spans).is_ok());
-    }
-
-    /// `split_by_grid` hand-offs match the grid's labels and lengths, and
-    /// writing every chunk through its label covers each element exactly
-    /// once — the disjoint `&mut` hand-off contract.
-    #[test]
-    fn split_by_grid_hands_off_disjoint_exact_cover(
-        len in 0usize..20_000,
-        min_chunk in 0usize..5_000,
-    ) {
-        let grid = pool::chunk_ranges(len, min_chunk);
-        let mut data = vec![0u32; len];
-        let parts = pool::split_by_grid(&mut data, &grid);
-        prop_assert_eq!(parts.len(), grid.len());
-        for ((lo, chunk), &(glo, ghi)) in parts.iter().zip(&grid) {
-            prop_assert_eq!(*lo, glo);
-            prop_assert_eq!(chunk.len(), ghi - glo);
-        }
-        for (lo, chunk) in parts {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v += (lo + j) as u32 + 1;
-            }
-        }
-        prop_assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
     }
 }
 
@@ -101,22 +77,30 @@ fn par_map_panic_is_not_masked_as_missing_slot() {
 }
 
 /// Fail-on-old-code witness for the dynamic checker: a hand-rolled grid
-/// with a hole hands out chunks whose labels do not tile the buffer;
-/// `PACE_RACE=strict` must turn that into a panic naming the gap.
+/// with a hole leaves part of the output to no task; `PACE_RACE=strict`
+/// must turn that write set into a panic naming the gap.
 #[test]
 fn strict_race_checker_catches_gap_grid() {
     race::RACE.set(FlagMode::Strict);
-    pool::set_threads(2);
     let result = std::panic::catch_unwind(|| {
-        let mut data = vec![0u8; 10];
         // Dirty by construction: [3, 5) is received by no task.
-        let grid = [(0usize, 3usize), (5usize, 10usize)];
-        pool::for_each_split(&mut data, &grid, |_, chunk| {
-            chunk.fill(1);
-        });
+        let spans = [
+            race::TaskSpan {
+                task: 0,
+                lo: 0,
+                hi: 3,
+            },
+            race::TaskSpan {
+                task: 1,
+                lo: 5,
+                hi: 10,
+            },
+        ];
+        if let Err(report) = race::check_write_set("gap grid", 10, &spans) {
+            race::handle(&report);
+        }
     });
     race::RACE.set(FlagMode::Off);
-    pool::set_threads(0);
     let msg = panic_message(result.expect_err("strict checker must panic on the gap"));
     assert!(msg.contains("write-set violation"), "got: {msg:?}");
     assert!(msg.contains("gap: [3, 5)"), "got: {msg:?}");
@@ -132,16 +116,10 @@ fn armed_checker_is_silent_on_clean_regions() {
         for t in [1usize, 4] {
             pool::set_threads(t);
             pool::run(37, |_| {});
-            let mut data = vec![0u64; 513];
-            let grid = pool::chunk_ranges(data.len(), 16);
-            pool::for_each_split(&mut data, &grid, |lo, chunk| {
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    *v = (lo + j) as u64;
-                }
-            });
+            let data: Vec<u64> = pool::par_map(&[0u64; 513], |i, _| i as u64);
+            assert!(data.iter().enumerate().all(|(i, &v)| v as usize == i));
             let sums = pool::par_chunks(data.len(), 16, |lo, hi| data[lo..hi].iter().sum::<u64>());
             assert_eq!(sums.iter().sum::<u64>(), (0..513u64).sum::<u64>());
-            assert!(data.iter().enumerate().all(|(i, &v)| v as usize == i));
         }
     }
     race::set_sched(None);

@@ -23,13 +23,12 @@
 //!   chaos-testing the campaign runtime's recovery paths;
 //! * [`pool`] — the deterministic parallel runtime (`PACE_THREADS`,
 //!   re-exported from `pace-runtime`): fixed size-derived chunk grids and
-//!   ordered reductions make parallel matmul/elementwise kernels and batch
-//!   labeling bit-identical to sequential execution at any thread count.
-//!   Its concurrency-safety auditor rides along: `PACE_RACE` verifies every
-//!   fan-out's write set (pairwise-disjoint, exact cover), `PACE_SCHED`
-//!   fuzzes chunk-pull order with an adversarial seeded scheduler, and a
-//!   calibrated profitability oracle (`pace_runtime::cost`,
-//!   `PACE_SCHED_COST`) decides which kernels are worth fanning out;
+//!   ordered reductions make coarse-grain fan-outs (batch labeling, seeds,
+//!   bench grid cells) bit-identical to sequential execution at any thread
+//!   count. The matrix kernels never fan out. The pool's
+//!   concurrency-safety auditor rides along: `PACE_RACE` verifies every
+//!   fan-out's write set (pairwise-disjoint, exact cover), and `PACE_SCHED`
+//!   fuzzes chunk-pull order with an adversarial seeded scheduler;
 //! * [`trace`] — the structured tracing and metrics layer (`PACE_TRACE`,
 //!   re-exported from `pace-trace`): scoped spans and lock-free
 //!   counters/histograms, emitted as JSONL and guaranteed not to perturb

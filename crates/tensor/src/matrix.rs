@@ -4,32 +4,20 @@
 //! is responsible for composition; this type only knows how to hold data and
 //! perform the eager value computations each op needs.
 //!
-//! The heavy kernels (matmul, elementwise map/zip) fan out over the
-//! deterministic pool ([`crate::pool`]) above a size threshold. Both the
-//! chunk grid and the per-element accumulation order are derived from the
-//! input shape alone, so parallel results are bit-identical to sequential
-//! ones at every `PACE_THREADS` setting.
+//! Every kernel here runs on the calling thread. The CE models multiply
+//! 64-row batches by 32–64-wide layers, far too little work to amortize a
+//! pool fan-out, so parallelism lives at coarse grain only (batches of
+//! `COUNT(*)` queries, seeds, bench grid cells). Each kernel has one code
+//! path, and its accumulation order is a function of the input shape alone.
 
-use pace_runtime as pool;
 use std::fmt;
 
 /// Height of one `b`-row panel of the blocked matmul kernel: the panel
 /// (`MATMUL_PANEL × m` floats of `b`) stays resident in L1/L2 while every
 /// output row streams over it. Blocking reorders the *loop nest*, not the
 /// per-element accumulation: each `out[i][j]` still sums its `k` products in
-/// ascending-`k` order, so blocked, unblocked, and row-parallel results are
-/// bit-identical.
+/// ascending-`k` order, so blocked and unblocked results are bit-identical.
 const MATMUL_PANEL: usize = 128;
-
-// Whether (and how coarsely) matmul and map/zip fan out over the pool is
-// decided by the calibrated profitability oracle (`pool::cost::decide`)
-// instead of hand-picked FLOP thresholds: on machines where dispatch
-// overhead outweighs the region, the oracle answers `Sequential` and the
-// kernels stay inline. With one pool worker the oracle is never asked
-// (see `pool::cost::fan_out`). The resulting grids are still pure
-// functions of the shape and the per-process cost constants — never of the
-// thread count — and these regions' results are chunking-independent, so
-// determinism across `PACE_THREADS` settings is preserved.
 
 /// Accumulates `av · b_row` into `out_row` — one rank-1 row update of the
 /// panel kernel, in ascending-`j` order.
@@ -40,8 +28,7 @@ fn axpy_row(out_row: &mut [f32], av: f32, b_row: &[f32]) {
     }
 }
 
-/// Computes output rows `[lo, hi)` of `a · b` into `out`, which is the
-/// row-major storage of exactly those rows.
+/// Computes `a · b` into `out`, the row-major storage of the product.
 ///
 /// The kernel is dense: every product `a[i][k] · b[k][j]` is formed and
 /// added, so `0 · NaN` and `0 · ±Inf` reach the accumulator as NaN and
@@ -55,15 +42,15 @@ fn axpy_row(out_row: &mut [f32], av: f32, b_row: &[f32]) {
 /// Runs of four `b` rows are processed together with the accumulator kept
 /// in a register across all four updates — per output element that is the
 /// *same sequence* of ascending-`k` adds a scalar triple loop performs, so
-/// blocked, unrolled and row-parallel results stay bit-identical.
-fn matmul_rows(out: &mut [f32], a: &Matrix, b: &Matrix, lo: usize, hi: usize) {
+/// blocked and unrolled results stay bit-identical.
+fn matmul_rows(out: &mut [f32], a: &Matrix, b: &Matrix) {
     let (k, m) = (a.cols, b.cols);
     out.fill(0.0);
     for panel in (0..k).step_by(MATMUL_PANEL) {
         let panel_end = (panel + MATMUL_PANEL).min(k);
-        for i in lo..hi {
+        for i in 0..a.rows {
             let a_row = &a.data[i * k..(i + 1) * k];
-            let out_row = &mut out[(i - lo) * m..(i - lo + 1) * m];
+            let out_row = &mut out[i * m..(i + 1) * m];
             let mut kk = panel;
             while kk + 4 <= panel_end {
                 let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
@@ -107,8 +94,7 @@ pub(crate) fn matmul_flop_count(n: usize, k: usize, m: usize) -> u64 {
 }
 
 /// Writes `a · b` into `dst`, reusing `dst`'s allocation. This is the one
-/// matmul kernel in the workspace: [`Matrix::matmul`] calls it, so
-/// sequential and parallel products are bit-identical.
+/// matmul kernel in the workspace: [`Matrix::matmul`] calls it.
 ///
 /// # Panics
 /// Panics when inner dimensions differ.
@@ -121,50 +107,7 @@ pub(crate) fn matmul_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
     let (n, k, m) = (a.rows, a.cols, b.cols);
     dst.reset_shape(n, m);
     pace_trace::MATMUL_FLOPS.add(matmul_flop_count(n, k, m));
-    let decision = pool::cost::fan_out(pool::cost::RegionCost {
-        items: n,
-        flops_per_item: 2.0 * k.saturating_mul(m) as f64,
-        bytes_per_item: ((k + m) * size_of::<f32>()) as f64,
-    });
-    if decision.is_parallel() && m > 0 {
-        let min_rows = decision.grain(n);
-        // Row grid scaled to element offsets, so the pool's write-set
-        // checker sees the ranges in output-element coordinates.
-        let grid: Vec<(usize, usize)> = pool::chunk_ranges(n, min_rows)
-            .into_iter()
-            .map(|(lo, hi)| (lo * m, hi * m))
-            .collect();
-        pool::for_each_split(dst.data.as_mut_slice(), &grid, |lo, chunk| {
-            let lo_row = lo / m;
-            let hi_row = lo_row + chunk.len() / m;
-            matmul_rows(chunk, a, b, lo_row, hi_row);
-        });
-    } else {
-        matmul_rows(&mut dst.data, a, b, 0, n);
-    }
-}
-
-/// Cost spec of a unary elementwise map over `len` elements: one flop and
-/// two `f32` transfers (one read + one write) per element.
-pub(crate) fn map_region(len: usize) -> pool::cost::RegionCost {
-    pool::cost::RegionCost {
-        items: len,
-        flops_per_item: 1.0,
-        bytes_per_item: (2 * size_of::<f32>()) as f64,
-    }
-}
-
-/// Cost spec of a binary elementwise zip over `len` elements: one flop and
-/// *three* `f32` transfers (two reads + one write) per element. Zips were
-/// once costed with the map spec's two transfers, under-counting bandwidth
-/// by a third and biasing the oracle toward unprofitable fan-out of
-/// bandwidth-bound zips.
-pub(crate) fn zip_region(len: usize) -> pool::cost::RegionCost {
-    pool::cost::RegionCost {
-        items: len,
-        flops_per_item: 1.0,
-        bytes_per_item: (3 * size_of::<f32>()) as f64,
-    }
+    matmul_rows(&mut dst.data, a, b);
 }
 
 /// Edge of the square tiles [`transpose_into`] blocks the copy into: a
@@ -335,38 +278,20 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Applies `f` elementwise, returning a new matrix. Fans out over the
-    /// pool for large matrices; elementwise results are independent of the
-    /// chunking, so parallel and sequential outputs are identical.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Self {
-        let mut data = vec![0.0f32; self.len()];
-        let decision = pool::cost::fan_out(map_region(self.len()));
-        if decision.is_parallel() {
-            let grain = decision.grain(self.len());
-            let grid = pool::chunk_ranges(self.len(), grain);
-            pool::for_each_split(&mut data, &grid, |lo, chunk| {
-                for (j, o) in chunk.iter_mut().enumerate() {
-                    *o = f(self.data[lo + j]);
-                }
-            });
-        } else {
-            for (o, &x) in data.iter_mut().zip(&self.data) {
-                *o = f(x);
-            }
-        }
+    /// Applies `f` elementwise, returning a new matrix.
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Self {
             rows: self.rows,
             cols: self.cols,
-            data,
+            data: self.data.iter().map(|&x| f(x)).collect(),
         }
     }
 
-    /// Combines two same-shaped matrices elementwise. Fans out over the pool
-    /// for large matrices (see [`Matrix::map`]).
+    /// Combines two same-shaped matrices elementwise.
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn zip(&self, other: &Self, f: impl Fn(f32, f32) -> f32 + Sync) -> Self {
+    pub fn zip(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
         assert_eq!(
             self.shape(),
             other.shape(),
@@ -374,25 +299,15 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let mut data = vec![0.0f32; self.len()];
-        let decision = pool::cost::fan_out(zip_region(self.len()));
-        if decision.is_parallel() {
-            let grain = decision.grain(self.len());
-            let grid = pool::chunk_ranges(self.len(), grain);
-            pool::for_each_split(&mut data, &grid, |lo, chunk| {
-                for (j, o) in chunk.iter_mut().enumerate() {
-                    *o = f(self.data[lo + j], other.data[lo + j]);
-                }
-            });
-        } else {
-            for ((o, &a), &b) in data.iter_mut().zip(&self.data).zip(&other.data) {
-                *o = f(a, b);
-            }
-        }
         Self {
             rows: self.rows,
             cols: self.cols,
-            data,
+            data: self
+                .data
+                .iter()
+                .zip(&other.data)
+                .map(|(&a, &b)| f(a, b))
+                .collect(),
         }
     }
 
@@ -503,7 +418,7 @@ impl Matrix {
         Self::from_vec(self.rows, 1, data)
     }
 
-    /// Matrix product `self · other` — the dense, blocked, pool-parallel
+    /// Matrix product `self · other` — the dense, blocked panel
     /// kernel ([`matmul_into`]). Every product is formed, so `0 · NaN` and
     /// `0 · Inf` propagate as NaN; the `±0` products of zero entries leave
     /// the bits unchanged.
@@ -847,54 +762,6 @@ mod tests {
         }
     }
 
-    /// Parallel matmul must be bit-identical to sequential for every thread
-    /// count — the pool's chunk grid is derived from the shape alone.
-    #[test]
-    fn matmul_bit_identical_across_thread_counts() {
-        // Big enough that a parallel-friendly cost model engages the
-        // fan-out; identity must hold whichever way the oracle decides.
-        let (n, k, m) = (96, 64, 80);
-        let mut state = 0x243f_6a88u32;
-        let mut next = || {
-            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            (state >> 8) as f32 / (1 << 24) as f32 - 0.5
-        };
-        let mut av: Vec<f32> = (0..n * k).map(|_| next()).collect();
-        let mut bv: Vec<f32> = (0..k * m).map(|_| next()).collect();
-        // Zero entries of `a` and a NaN in `b`: every product is formed, so
-        // the NaN column must come out NaN wherever it is reached.
-        for i in (0..av.len()).step_by(17) {
-            av[i] = 0.0;
-        }
-        bv[5 * m + 3] = f32::NAN;
-        let a = Matrix::from_vec(n, k, av);
-        let b = Matrix::from_vec(k, m, bv);
-        // Force a parallel-friendly cost model so the fan-out path runs
-        // even on machines where calibration would answer Sequential.
-        pool::cost::set_constants(Some(pool::cost::CostConstants {
-            dispatch_ns: 100.0,
-            task_ns: 10.0,
-            flops_per_ns: 1.0,
-            bytes_per_ns: 1.0,
-            effective_parallelism: 8.0,
-        }));
-        pool::set_threads(1);
-        let reference = a.matmul(&b);
-        for t in [2usize, 3, 8] {
-            pool::set_threads(t);
-            let c = a.matmul(&b);
-            assert!(
-                c.data()
-                    .iter()
-                    .zip(reference.data())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "matmul diverged at {t} threads"
-            );
-        }
-        pool::set_threads(0);
-        pool::cost::set_constants(None);
-    }
-
     /// Regression: the FLOP counter computed `2 * flops` after `flops` had
     /// already saturated — at `usize::MAX` the doubling wrapped in release
     /// (to `u64::MAX - 1`) and panicked in debug. The whole computation now
@@ -906,20 +773,6 @@ mod tests {
         // Non-saturating shapes are exact: 2·n·k·m.
         assert_eq!(matmul_flop_count(3, 4, 5), 120);
         assert_eq!(matmul_flop_count(0, 100, 100), 0);
-    }
-
-    /// Regression: zips were costed with the map spec (two `f32` transfers
-    /// per element), under-counting the two-reads-one-write traffic by a
-    /// third and biasing the oracle toward fanning out bandwidth-bound zips.
-    #[test]
-    fn zip_region_counts_three_float_transfers() {
-        let map = map_region(1024);
-        let zip = zip_region(1024);
-        assert_eq!(map.bytes_per_item, 8.0, "map: one read + one write");
-        assert_eq!(zip.bytes_per_item, 12.0, "zip: two reads + one write");
-        assert_eq!(map.items, 1024);
-        assert_eq!(zip.items, 1024);
-        assert_eq!(zip.flops_per_item, 1.0);
     }
 
     /// The tiled transpose must agree with the naive definition on shapes

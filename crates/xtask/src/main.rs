@@ -40,17 +40,19 @@
 //!    `chunk_ranges`/`par_chunks` must be compile-time constants or locals
 //!    computed without `threads()`/environment reads, and pool call spans
 //!    must not read `threads()`/env vars or touch `Mutex`/atomic shared
-//!    state — the pool's indexed slots and `for_each_split` hand-offs are
-//!    the only sanctioned cross-task channels. A violation reintroduces
-//!    thread-count-dependent grids or racy accumulation, the two bug
-//!    families `PACE_RACE` exists to catch at run time.
+//!    state — the pool's indexed result slots are the only sanctioned
+//!    cross-task channel. A violation reintroduces thread-count-dependent
+//!    grids or racy accumulation, the two bug families `PACE_RACE` exists
+//!    to catch at run time. Only coarse-grain regions remain to audit
+//!    (`count_batch` over queries, seeds, bench grid cells): the matrix
+//!    kernels never fan out.
 //!
 //! # `determinism` — the `PACE_THREADS` bit-identity gate
 //!
-//! Exercises the three parallel surfaces in-process at several thread
-//! counts and requires byte-identical results: batch exact counting
-//! (`Executor::count_batch`), the cache-blocked parallel matmul, and a
-//! briefly trained CE model's full parameter vector. CI runs it under
+//! Exercises two surfaces in-process at several thread counts and requires
+//! byte-identical results: batch exact counting (`Executor::count_batch`,
+//! the pool's fan-out) and a briefly trained CE model's full parameter
+//! vector. CI runs it under
 //! `PACE_THREADS=1` and `PACE_THREADS=4` and additionally diffs the two
 //! process outputs.
 //!
@@ -92,15 +94,15 @@
 //!
 //! Two layers, both in-process (see `DESIGN.md` § Concurrency safety):
 //!
-//! 1. **Dynamic** — with `PACE_RACE=strict` armed, a seeded dirty parallel
-//!    region (a grid with a hole) must panic with a typed write-set
-//!    violation, while the clean kernels stay silent.
-//! 2. **Schedule fuzzing** — the parallel kernels (matmul, `count_batch`)
-//!    and a reduced demo campaign must be bit-identical across
-//!    [`SCHED_SEEDS`] adversarial `PACE_SCHED` seeds × {1, 4, 8} threads.
+//! 1. **Dynamic** — with `PACE_RACE=strict` armed, a seeded dirty write set
+//!    (a grid with a hole) must panic with a typed write-set violation,
+//!    while a clean `count_batch` fan-out stays silent.
+//! 2. **Schedule fuzzing** — `count_batch` and a reduced demo campaign must
+//!    be bit-identical across [`SCHED_SEEDS`] adversarial `PACE_SCHED`
+//!    seeds × {1, 4, 8} threads.
 //!
 //! Finishes with a disarmed-overhead gate (the per-region `PACE_RACE` check
-//! must cost about one relaxed load, ≤ 1% of a matmul/count fan-out) and
+//! must cost about one relaxed load, ≤ 1% of a `count_batch` fan-out) and
 //! writes `BENCH_race.json` at the workspace root.
 //!
 //! # `serve-report` — the serving-runtime SLO gate
@@ -1013,10 +1015,8 @@ fn check_no_nan_sort(root: &Path, failures: &mut Vec<String>) {
 
 /// Pool entry points whose call spans are audited. `chunk_ranges` and
 /// `par_chunks` additionally get their `min_chunk` argument checked.
-const POOL_PRIMITIVES: [&str; 7] = [
+const POOL_PRIMITIVES: [&str; 5] = [
     "::run(",
-    "::for_each_owned(",
-    "::for_each_split(",
     "::par_map(",
     "::par_try_map(",
     "::par_chunks(",
@@ -1027,8 +1027,8 @@ const POOL_PRIMITIVES: [&str; 7] = [
 /// three make the grid or the task body depend on the thread count or the
 /// environment (breaking `PACE_THREADS` bit-identity); the rest are shared
 /// mutable state — cross-task communication outside the pool's indexed
-/// slots and `for_each_split` hand-offs, i.e. ordering-dependent results at
-/// best and a data race at worst.
+/// result slots, i.e. ordering-dependent results at best and a data race at
+/// worst.
 const REGION_FORBIDDEN: [&str; 8] = [
     "threads()",
     "env::var",
@@ -1239,30 +1239,10 @@ fn determinism() -> ExitCode {
         queries.len()
     );
 
-    // (2) The cache-blocked parallel matmul kernel, bit-for-bit.
-    let n = 160;
-    let mut state = 0x5eed_u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f32 / 2.0e9) - 1.0
-    };
-    let a = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect());
-    let b = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect());
-    pool::set_threads(1);
-    let product = matrix_bits(&[a.matmul(&b)]);
-    for threads in DETERMINISM_THREADS {
-        pool::set_threads(threads);
-        if matrix_bits(&[a.matmul(&b)]) != product {
-            failures.push(format!("matmul diverges at {threads} threads"));
-        }
-    }
-    println!("determinism: {n}x{n} matmul — checked at {DETERMINISM_THREADS:?} threads");
-
-    // (3) A briefly trained CE model: the full parameter vector must be
-    // byte-equal whatever the thread count, because training is a long chain
-    // of the kernels above — any reduction-order leak compounds here.
+    // (2) A briefly trained CE model: the full parameter vector must be
+    // byte-equal whatever the thread count: training labels its data with
+    // the batch above and is a long chain of kernels, so any
+    // reduction-order leak compounds here.
     let labeled = exec.label_nonzero(queries);
     let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
     let train_once = || -> Result<Vec<u32>, String> {
@@ -1338,9 +1318,9 @@ impl Fnv {
 }
 
 /// Runs a reduced demo campaign (the `chaos_campaign` recipe at 200 history
-/// / 40 test queries) from scratch — victim training included, so every
-/// parallel kernel sits under the active schedule — and returns its
-/// bit-exact fingerprint.
+/// / 40 test queries) from scratch — labeling and victim training
+/// included, so every `count_batch` fan-out sits under the active
+/// schedule — and returns its bit-exact fingerprint.
 fn demo_campaign_digest(ds: &Dataset, work: &Path, tag: &str) -> Result<u64, String> {
     let exec = Executor::new(ds);
     let spec = WorkloadSpec {
@@ -1394,21 +1374,6 @@ fn demo_campaign_digest(ds: &Dataset, work: &Path, tag: &str) -> Result<u64, Str
     Ok(h.finish())
 }
 
-/// The deterministic matmul operand pair the kernel-matrix gate reuses
-/// (the `determinism` LCG recipe).
-fn lcg_matrices(n: usize) -> (Matrix, Matrix) {
-    let mut state = 0x5eed_u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f32 / 2.0e9) - 1.0
-    };
-    let a = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect());
-    let b = Matrix::from_vec(n, n, (0..n * n).map(|_| next()).collect());
-    (a, b)
-}
-
 fn race_report() -> ExitCode {
     use pace_tensor::pool;
     use pool::flags::FlagMode;
@@ -1425,14 +1390,26 @@ fn race_report() -> ExitCode {
     let queries = generate_queries(&ds, &WorkloadSpec::default(), &mut rng, 96);
 
     // (1) Fail-on-old-code witness, dynamic: under PACE_RACE=strict a grid
-    // with a hole must panic with a typed write-set violation, and the
-    // clean kernels must stay silent.
+    // with a hole must panic with a typed write-set violation, and a clean
+    // count_batch fan-out must stay silent.
     race::RACE.set(FlagMode::Strict);
     {
         let caught = std::panic::catch_unwind(|| {
-            let mut buf = vec![0u8; 64];
-            let grid = [(0usize, 24usize), (40usize, 64usize)];
-            pool::for_each_split(&mut buf, &grid, |_, chunk| chunk.fill(1));
+            let spans = [
+                race::TaskSpan {
+                    task: 0,
+                    lo: 0,
+                    hi: 24,
+                },
+                race::TaskSpan {
+                    task: 1,
+                    lo: 40,
+                    hi: 64,
+                },
+            ];
+            if let Err(report) = race::check_write_set("race-report::dirty", 64, &spans) {
+                race::handle(&report);
+            }
         });
         match caught {
             Err(payload) => {
@@ -1453,22 +1430,20 @@ fn race_report() -> ExitCode {
             }
         }
     }
-    let (a, b) = lcg_matrices(160);
     {
-        // Clean kernels under the armed checker: no false positives.
+        // A clean fan-out under the armed checker: no false positives.
         let clean = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool::set_threads(4);
-            let _ = a.matmul(&b);
             let _ = exec.count_batch(&queries);
         }));
         if clean.is_err() {
-            failures.push("armed checker false-positived on clean kernels".to_string());
+            failures.push("armed checker false-positived on a clean count_batch".to_string());
         }
     }
     race::RACE.set(FlagMode::Off);
 
-    // (2) Schedule-fuzz matrix: kernels and a reduced demo campaign must be
-    // bit-identical across adversarial seeds × thread counts.
+    // (2) Schedule-fuzz matrix: count_batch and a reduced demo campaign must
+    // be bit-identical across adversarial seeds × thread counts.
     let work_dir = std::env::temp_dir().join(format!("pace-race-report-{}", std::process::id()));
     if let Err(e) = std::fs::create_dir_all(&work_dir) {
         eprintln!("race-report: cannot create {}: {e}", work_dir.display());
@@ -1476,7 +1451,6 @@ fn race_report() -> ExitCode {
     }
     race::set_sched(None);
     pool::set_threads(1);
-    let matmul_base = matrix_bits(&[a.matmul(&b)]);
     let counts_base = exec.count_batch(&queries);
     println!("race-report: baseline campaign digest (natural schedule, 1 thread)...");
     let digest_base = match demo_campaign_digest(&ds, &work_dir, "base") {
@@ -1494,11 +1468,6 @@ fn race_report() -> ExitCode {
             race::set_sched(Some(seed));
             pool::set_threads(threads);
             combos += 1;
-            if matrix_bits(&[a.matmul(&b)]) != matmul_base {
-                failures.push(format!(
-                    "matmul diverges under PACE_SCHED={seed} at {threads} threads"
-                ));
-            }
             if exec.count_batch(&queries) != counts_base {
                 failures.push(format!(
                     "count_batch diverges under PACE_SCHED={seed} at {threads} threads"
@@ -1516,7 +1485,7 @@ fn race_report() -> ExitCode {
             }
         }
         println!(
-            "race-report: seed {seed:#x}: kernels + campaign bit-identical at \
+            "race-report: seed {seed:#x}: count_batch + campaign bit-identical at \
              {SCHED_THREADS:?} threads"
         );
     }
@@ -1525,7 +1494,7 @@ fn race_report() -> ExitCode {
 
     // (3) Disarmed overhead: with PACE_RACE off, the per-region check is
     // 1–2 relaxed loads — bounded both absolutely (vs a measured relaxed
-    // load) and relatively (≤ 1% of one matmul / count_batch fan-out).
+    // load) and relatively (≤ 1% of one count_batch fan-out).
     pool::set_threads(4);
     let (check_ns, load_ns) = {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -1557,22 +1526,15 @@ fn race_report() -> ExitCode {
         }
         t0.elapsed().as_secs_f64() * 1e9 / f64::from(reps)
     };
-    let matmul_ns = bench_ns(&|| {
-        std::hint::black_box(a.matmul(&b));
-    });
     let count_ns = bench_ns(&|| {
         std::hint::black_box(exec.count_batch(&queries));
     });
     pool::set_threads(0);
-    let matmul_share = check_ns / matmul_ns;
     let count_share = check_ns / count_ns;
     println!(
         "\nrace-report: disarmed check {check_ns:.2} ns/region (relaxed load \
-         {load_ns:.2} ns), matmul {:.0} us, count_batch {:.0} us — shares \
-         {:.5}% / {:.5}%",
-        matmul_ns / 1e3,
+         {load_ns:.2} ns), count_batch {:.0} us — share {:.5}%",
         count_ns / 1e3,
-        matmul_share * 100.0,
         count_share * 100.0
     );
     // The disarmed check is two-to-three relaxed loads plus branches;
@@ -1584,11 +1546,9 @@ fn race_report() -> ExitCode {
              relaxed loads ({load_ns:.2} ns each)"
         ));
     }
-    if matmul_share > 0.01 || count_share > 0.01 {
+    if count_share > 0.01 {
         failures.push(format!(
-            "disarmed PACE_RACE overhead exceeds 1% of a fan-out: matmul \
-             {:.3}%, count_batch {:.3}%",
-            matmul_share * 100.0,
+            "disarmed PACE_RACE overhead exceeds 1% of a count_batch fan-out: {:.3}%",
             count_share * 100.0
         ));
     }
@@ -1602,8 +1562,7 @@ fn race_report() -> ExitCode {
     ));
     s.push_str(&format!(
         "  \"disarmed_overhead\": {{\"check_ns\": {check_ns:.4}, \
-         \"relaxed_load_ns\": {load_ns:.4}, \"matmul_ns\": {matmul_ns:.0}, \
-         \"count_batch_ns\": {count_ns:.0}, \"matmul_share\": {matmul_share:.6}, \
+         \"relaxed_load_ns\": {load_ns:.4}, \"count_batch_ns\": {count_ns:.0}, \
          \"count_share\": {count_share:.6}}},\n"
     ));
     s.push_str(&format!("  \"failures\": {}\n}}\n", failures.len()));
@@ -3196,7 +3155,7 @@ mod tests {
         assert!(min_chunk_arg_ok("1_024", ""));
         assert!(min_chunk_arg_ok("ELEMWISE_PAR_MIN", ""));
         assert!(min_chunk_arg_ok("crate::matrix::MATMUL_PANEL", ""));
-        // A local derived from input sizes alone (the matmul row grid).
+        // A local derived from input sizes alone.
         let clean = "let min_rows = (MATMUL_PAR_MIN_FLOPS / k.saturating_mul(m).max(1)).max(1);";
         assert!(min_chunk_arg_ok("min_rows", clean));
         // Thread-count- or env-derived locals are the bug this rule exists
