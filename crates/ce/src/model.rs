@@ -621,17 +621,20 @@ impl CeModel {
 
     /// Tape-free [`CeModel::forward`] at the stored parameters: `x` is
     /// `n×dim`, the result `n×1`. It builds no [`Graph`] and clones no
-    /// parameter, and batches what training cannot: MSCN runs every
-    /// attribute's predicate element through `pred_mlp` in one stacked
-    /// matrix, and RNN/LSTM advance all rows together, sorted by sequence
-    /// length, instead of one recurrence per join pattern.
+    /// parameter, and batches what training cannot: MSCN runs the predicate
+    /// elements of the whole batch through `pred_mlp` in one matrix, and
+    /// only those whose table is in the query, and RNN/LSTM advance all
+    /// rows together, sorted by sequence length, instead of one recurrence
+    /// per join pattern.
     ///
     /// Each output row depends only on its own input row, and every value
-    /// goes through the [`Matrix`] kernel its graph op uses, so the result
-    /// is bit-identical to `forward` whenever `forward`'s outputs are all
-    /// finite. The one difference: `forward` routes RNN/LSTM rows through
-    /// a permutation matmul, which spreads a non-finite row to every row of
-    /// the batch; `infer` keeps it in its own row.
+    /// is formed by the floating-point operations its graph op performs, in
+    /// the same order; MSCN drops only additions of `±0` that cannot change
+    /// a bit (see `infer_mscn`). So the result is bit-identical to `forward`
+    /// whenever `forward`'s outputs are all finite. The one difference:
+    /// `forward` routes RNN/LSTM rows through a permutation matmul, which
+    /// spreads a non-finite row to every row of the batch; `infer` keeps it
+    /// in its own row.
     pub fn infer(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.encoder.dim(), "encoded width mismatch");
         let ps = &self.params;
@@ -693,44 +696,85 @@ impl CeModel {
         }
     }
 
-    /// [`CeModel::forward_mscn`] without a tape. The `a` predicate elements
-    /// of all `n` queries are stacked into one `(a·n)×(a+2)` matrix (row
-    /// `i·n + r` is attribute `i` of query `r`), so `pred_mlp` runs once;
-    /// the masked mean still accumulates in attribute order.
+    /// [`CeModel::forward_mscn`] without a tape, over only the set
+    /// elements the batch has. Both set modules run their first layer by
+    /// [`Mlp::infer_onehot`]. `table_mlp` runs on the tables whose join bit
+    /// is non-zero in some row, and `pred_mlp` once, on the `(attribute,
+    /// row)` pairs whose join bit is non-zero, in attribute-major order.
+    ///
+    /// Each kept term is added where and in the order the tape adds it, so
+    /// what differs is only the absent elements' `repr·0` terms. These are
+    /// `±0` while `repr` is finite, and adding `±0` to an accumulator that
+    /// starts at `+0.0` (and so is never `−0.0`) leaves it unchanged. An
+    /// `Inf` repr would make the term NaN instead, so a set skips its
+    /// absent elements only when its MLP's output bound is finite with
+    /// headroom, which requires every parameter of that MLP to be finite,
+    /// and, for predicates, when every absent element's bounds lie in
+    /// `[−1, 1]`. Otherwise every element of that set runs, as on the tape.
     fn infer_mscn(&self, x: &Matrix, table_mlp: &Mlp, pred_mlp: &Mlp, head: &Mlp) -> Matrix {
         let ps = &self.params;
         let t = self.encoder.num_tables();
         let attrs = self.encoder.attributes();
         let a = attrs.len();
         let n = x.rows();
-        let mut eye = Matrix::zeros(t, t);
-        for i in 0..t {
-            eye.set(i, i, 1.0);
-        }
-        let table_reprs = table_mlp.infer(ps, &eye);
-        let join = x.slice_cols(0, t);
-        let recip = join.sum_cols().add_scalar(1e-6).pow_scalar(-1.0);
+        // Set elements are one-hot, and skipped ones have bounds in
+        // [−1, 1], so inputs have magnitude at most 1. Half of `f32::MAX`
+        // leaves room for the rounding of the bound and of the sums it
+        // bounds.
+        let bounded = |mlp: &Mlp| mlp.abs_bound(ps, 1.0) <= f32::MAX / 2.0;
+        let present = |r: usize, tb: usize| x.get(r, tb) != 0.0;
+
+        let recip = x
+            .slice_cols(0, t)
+            .sum_cols()
+            .add_scalar(1e-6)
+            .pow_scalar(-1.0);
+        let skip_tables = bounded(table_mlp);
+        let tables: Vec<usize> = (0..t)
+            .filter(|&tb| !skip_tables || (0..n).any(|r| present(r, tb)))
+            .collect();
+        let table_reprs = table_mlp.infer_onehot(ps, &tables, &Matrix::zeros(tables.len(), 0));
+        let join: Vec<f32> = (0..n)
+            .flat_map(|r| tables.iter().map(move |&tb| x.get(r, tb)))
+            .collect();
+        let join = Matrix::from_vec(n, tables.len(), join);
         let tbl = join.matmul(&table_reprs).mul_col(&recip);
 
         let h = self.config.hidden;
         let pred = if a == 0 {
             Matrix::zeros(n, h)
         } else {
-            let mut elems = Matrix::zeros(a * n, a + 2);
-            for i in 0..a {
-                for r in 0..n {
-                    elems.set(i * n + r, i, 1.0);
-                    elems.set(i * n + r, a, x.get(r, self.lo_col(i)));
-                    elems.set(i * n + r, a + 1, x.get(r, self.hi_col(i)));
+            let bounds = |i: usize, r: usize| (x.get(r, self.lo_col(i)), x.get(r, self.hi_col(i)));
+            let all: Vec<(usize, usize)> =
+                (0..a).flat_map(|i| (0..n).map(move |r| (i, r))).collect();
+            let (kept, absent): (Vec<_>, Vec<_>) =
+                all.iter().partition(|&&(i, r)| present(r, attrs[i].0));
+            let skip_absent = absent.iter().all(|&(i, r)| {
+                let (lo, hi) = bounds(i, r);
+                lo.abs() <= 1.0 && hi.abs() <= 1.0
+            }) && bounded(pred_mlp);
+            let elems = if skip_absent { kept } else { all };
+            let hot: Vec<usize> = elems.iter().map(|&(i, _)| i).collect();
+            let mut rest = Matrix::zeros(elems.len(), 2);
+            for (e, &(i, r)) in elems.iter().enumerate() {
+                let (lo, hi) = bounds(i, r);
+                rest.set(e, 0, lo);
+                rest.set(e, 1, hi);
+            }
+            let reprs = pred_mlp.infer_onehot(ps, &hot, &rest);
+            let mut acc = Matrix::zeros(n, h);
+            for (e, &(i, r)) in elems.iter().enumerate() {
+                let mask = x.get(r, attrs[i].0);
+                let row = &mut acc.data_mut()[r * h..(r + 1) * h];
+                for (o, &v) in row.iter_mut().zip(reprs.row_slice(e)) {
+                    *o += v * mask;
                 }
             }
-            let reprs = pred_mlp.infer(ps, &elems);
-            let mut acc = Matrix::zeros(n, h);
             let mut cnt = Matrix::zeros(n, 1);
-            for (i, &(tb, _)) in attrs.iter().enumerate() {
-                let mask = x.slice_cols(tb, tb + 1);
-                acc = acc.add_elems(&reprs.slice_rows(i * n, (i + 1) * n).mul_col(&mask));
-                cnt = cnt.add_elems(&mask);
+            for &(tb, _) in attrs {
+                for (r, c) in cnt.data_mut().iter_mut().enumerate() {
+                    *c += x.get(r, tb);
+                }
             }
             acc.mul_col(&cnt.add_scalar(1e-6).pow_scalar(-1.0))
         };

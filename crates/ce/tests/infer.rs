@@ -52,13 +52,19 @@ fn bare_tables(enc: &QueryEncoder) -> Vec<usize> {
         .collect()
 }
 
-/// The tape forward's output on `rows`.
-fn tape_forward(model: &CeModel, rows: &[Vec<f32>]) -> Matrix {
+/// The tape forward's output on `rows`, with the op that produced the
+/// tape's first non-finite value, if any.
+fn tape_run(model: &CeModel, rows: &[Vec<f32>]) -> (Matrix, Option<&'static str>) {
     let mut g = Graph::new();
     let bind = model.params().bind(&mut g);
     let x = g.leaf(pace_ce::rows_to_matrix(rows));
     let out = model.forward(&mut g, &bind, x);
-    g.value(out).clone()
+    (g.value(out).clone(), g.first_nonfinite().map(|(_, op)| op))
+}
+
+/// The tape forward's output on `rows`.
+fn tape_forward(model: &CeModel, rows: &[Vec<f32>]) -> Matrix {
+    tape_run(model, rows).0
 }
 
 /// The estimate formula of `estimate_encoded_batch`, applied to tape output.
@@ -72,6 +78,20 @@ fn tape_estimates(model: &CeModel, rows: &[Vec<f32>]) -> Vec<f64> {
 
 fn bits32(m: &Matrix) -> Vec<u32> {
     m.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The bits of `m`, with every NaN mapped to one pattern.
+fn canonical_bits(m: &Matrix) -> Vec<u32> {
+    m.data()
+        .iter()
+        .map(|&x| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
 }
 
 fn bits64(v: &[f64]) -> Vec<u64> {
@@ -119,7 +139,10 @@ fn infer_matches_tape_forward_bit_for_bit() {
                     }
                     let x = pace_ce::rows_to_matrix(&rows);
                     let what = format!("{kind:?} {} {state} n={size}", ty.name());
-                    let tape = tape_forward(&model, &rows);
+                    // Every intermediate value finite is the premise under
+                    // which MSCN may skip its absent set elements.
+                    let (tape, first_nonfinite) = tape_run(&model, &rows);
+                    assert_eq!(first_nonfinite, None, "{what}: non-finite tape value");
                     assert!(tape.all_finite(), "{what}: tape output not finite");
                     assert_eq!(bits32(&model.infer(&x)), bits32(&tape), "{what}: infer");
                     assert_eq!(
@@ -146,6 +169,134 @@ fn poison_output_layer(model: &CeModel, from_end: usize, value: f32) -> CeModel 
         .expect("output layer parameter");
     m.params_mut().get_mut(id).data_mut().fill(value);
     m
+}
+
+/// A copy of `model` with `edit` applied to the parameter named `name`.
+fn edit_param(model: &CeModel, name: &str, edit: impl FnOnce(&mut Matrix)) -> CeModel {
+    let mut m = model.clone();
+    let id = m
+        .params()
+        .iter()
+        .map(|(id, _)| id)
+        .find(|&id| m.params().name(id) == name)
+        .unwrap_or_else(|| panic!("no parameter {name}"));
+    edit(m.params_mut().get_mut(id));
+    m
+}
+
+/// MSCN batches of 1, 4 and 16 rows that leave one table out, so that
+/// `infer` has table and predicate elements to skip.
+fn mscn_batches(kind: DatasetKind, seed: u64) -> (Dataset, Vec<Vec<Vec<f32>>>) {
+    let ds = build(kind, Scale::quick(), seed);
+    let pool = encoded_pool(&ds, seed + 1);
+    let t = QueryEncoder::new(&ds).num_tables();
+    let left_out = |tb: usize| {
+        pool.iter()
+            .filter(|r| r[tb] == 0.0)
+            .cloned()
+            .collect::<Vec<_>>()
+    };
+    let rows = (0..t).map(left_out).max_by_key(Vec::len).expect("a table");
+    assert!(
+        rows.len() >= 16,
+        "{kind:?}: {} rows leave a table out",
+        rows.len()
+    );
+    let batches = [1, 4, 16].into_iter().map(|n| rows[..n].to_vec()).collect();
+    (ds, batches)
+}
+
+/// The first attribute whose table `row` does not join, and the first table
+/// that no row of `rows` joins.
+fn absent_elements(enc: &QueryEncoder, rows: &[Vec<f32>]) -> (usize, usize) {
+    let attr = (0..enc.attributes().len())
+        .find(|&i| rows[0][enc.attributes()[i].0] == 0.0)
+        .expect("row 0 leaves an attribute out");
+    let table = (0..enc.num_tables())
+        .find(|&tb| rows.iter().all(|r| r[tb] == 0.0))
+        .expect("the batch leaves a table out");
+    (attr, table)
+}
+
+/// A NaN or `+Inf` weight turns the `0·w` products of skipped set elements
+/// into NaN, which a later ReLU maps to 0, so dropping them would change
+/// finite estimates. Planted one at a time in the one-hot block of the
+/// predicate MLP's first layer, in its second layer, and in the table
+/// MLP's first layer, it must leave `infer` equal to the tape, NaN
+/// compared as one class.
+#[test]
+fn nonfinite_mscn_set_weights_keep_infer_equal_to_the_tape() {
+    for kind in [DatasetKind::Stats, DatasetKind::Tpch] {
+        let (ds, batches) = mscn_batches(kind, 61);
+        let pool: Vec<Vec<f32>> = batches.concat();
+        for model in model_states(CeModelType::Mscn, &ds, &pool) {
+            for rows in &batches {
+                let (attr, table) = absent_elements(model.encoder(), rows);
+                let x = pace_ce::rows_to_matrix(rows);
+                for value in [f32::NAN, f32::INFINITY] {
+                    for (name, row) in [
+                        ("mscn.pred.0.w", attr),
+                        ("mscn.pred.1.w", 0),
+                        ("mscn.table.0.w", table),
+                    ] {
+                        let broken = edit_param(&model, name, |w| w.set(row, 0, value));
+                        assert_eq!(
+                            canonical_bits(&broken.infer(&x)),
+                            canonical_bits(&tape_forward(&broken, rows)),
+                            "{kind:?} n={} {name}[{row}][0]={value}",
+                            rows.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Finite parameters and inputs can still overflow to an `Inf` set-element
+/// representation, whose product with a zero join bit is NaN on the tape.
+/// With the second layers' weights at 1, an `f32::MAX` first-layer weight
+/// row overflows exactly one absent table or attribute, and so does an
+/// absent element's lower bound at `f32::MAX` or `+Inf` (NaN is mapped to 0
+/// by the first ReLU). `infer` must keep such elements, and equal the tape
+/// with NaN compared as one class.
+#[test]
+fn overflowing_mscn_set_elements_keep_infer_equal_to_the_tape() {
+    for kind in [DatasetKind::Stats, DatasetKind::Tpch] {
+        let (ds, batches) = mscn_batches(kind, 71);
+        let pool: Vec<Vec<f32>> = batches.concat();
+        for model in model_states(CeModelType::Mscn, &ds, &pool) {
+            let t = model.encoder().num_tables();
+            let ones = |name: &str| edit_param(&model, name, |w| w.data_mut().fill(1.0));
+            for rows in &batches {
+                let what = format!("{kind:?} n={}", rows.len());
+                let (attr, table) = absent_elements(model.encoder(), rows);
+                for (set, row) in [("pred", attr), ("table", table)] {
+                    let name = format!("mscn.{set}.0.w");
+                    let base = ones(&format!("mscn.{set}.1.w"));
+                    let broken = edit_param(&base, &name, |w| {
+                        (0..w.cols()).for_each(|c| w.set(row, c, f32::MAX))
+                    });
+                    let x = pace_ce::rows_to_matrix(rows);
+                    assert_eq!(
+                        canonical_bits(&broken.infer(&x)),
+                        canonical_bits(&tape_forward(&broken, rows)),
+                        "{what}: {name} row {row} at f32::MAX"
+                    );
+                }
+                let broken = ones("mscn.pred.1.w");
+                for value in [f32::MAX, f32::INFINITY, f32::NAN] {
+                    let mut edited = rows.clone();
+                    edited[0][t + 2 * attr] = value;
+                    assert_eq!(
+                        canonical_bits(&broken.infer(&pace_ce::rows_to_matrix(&edited))),
+                        canonical_bits(&tape_forward(&broken, &edited)),
+                        "{what}: absent attribute {attr} with lower bound {value}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Shadow validation and `Server::fire_batch` tell a broken model by its

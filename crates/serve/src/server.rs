@@ -549,11 +549,15 @@ impl Server {
         let snap: Option<Arc<ModelSnapshot>> = self.store.current();
         let ests: Vec<f64> = match &snap {
             Some(s) => {
-                let _span = pace_trace::span("serve::batch");
-                let encs: Vec<Vec<f32>> = batch
-                    .iter()
-                    .map(|p| s.model.encoder().encode(&p.req.query))
-                    .collect();
+                let _batch = pace_trace::span("serve::batch");
+                let encs: Vec<Vec<f32>> = {
+                    let _encode = pace_trace::span("serve::batch::encode");
+                    batch
+                        .iter()
+                        .map(|p| s.model.encoder().encode(&p.req.query))
+                        .collect()
+                };
+                let _infer = pace_trace::span("serve::batch::infer");
                 s.model.estimate_encoded_batch(&encs)
             }
             None => vec![f64::NAN; batch.len()],

@@ -103,6 +103,63 @@ impl Dense {
         self.act.infer(z)
     }
 
+    /// [`Dense::infer`] on rows that are one-hot in their first
+    /// `in_dim − rest.cols()` inputs: row `r` is `e(hot[r]) ⊕ rest[r]`.
+    ///
+    /// The matmul kernel adds a row's products to `+0.0` in ascending input
+    /// order, and a zero input times a finite weight adds `±0`, which leaves
+    /// an accumulator that is never `−0.0` unchanged. So output `j` of row
+    /// `r` is `((+0.0 + W[h][j]) + rest₀·W[b][j]) + rest₁·W[b+1][j] + …`
+    /// with `h = hot[r]` and `b` the first `rest` input, which this forms
+    /// directly. A non-finite weight in the one-hot block would turn a
+    /// skipped `0·w` into NaN, so then the rows are materialized and run
+    /// through [`Dense::infer`]. Either way the result is bit-identical to
+    /// `infer` on the materialized rows.
+    pub fn infer_onehot(&self, ps: &ParamStore, hot: &[usize], rest: &Matrix) -> Matrix {
+        debug_assert_eq!(hot.len(), rest.rows(), "one row of rest per hot index");
+        let (w, m) = (ps.get(self.w), self.out_dim);
+        let width = self.in_dim - rest.cols();
+        debug_assert!(
+            hot.iter().all(|&h| h < width),
+            "hot index past the one-hot block"
+        );
+        let (block, rest_w) = w.data().split_at(width * m);
+        if !block.iter().all(|v| v.is_finite()) {
+            let mut x = Matrix::zeros(hot.len(), self.in_dim);
+            for (r, &h) in hot.iter().enumerate() {
+                let row = &mut x.data_mut()[r * self.in_dim..(r + 1) * self.in_dim];
+                row[h] = 1.0;
+                row[width..].copy_from_slice(rest.row_slice(r));
+            }
+            return self.infer(ps, &x);
+        }
+        let mut z = Matrix::zeros(hot.len(), m);
+        for (r, (out, &h)) in z.data_mut().chunks_exact_mut(m).zip(hot).enumerate() {
+            for (o, &v) in out.iter_mut().zip(&block[h * m..(h + 1) * m]) {
+                *o = 0.0 + v;
+            }
+            for (&xv, w_row) in rest.row_slice(r).iter().zip(rest_w.chunks_exact(m)) {
+                for (o, &v) in out.iter_mut().zip(w_row) {
+                    *o += xv * v;
+                }
+            }
+        }
+        self.act.infer(z.add_row(ps.get(self.b)))
+    }
+
+    /// An upper bound on the magnitude of every output of [`Dense::infer`]
+    /// on inputs of magnitude at most `x_max`, or `+Inf` when a parameter
+    /// is not finite: `|z_j| ≤ Σ|b| + x_max·Σ|W|`, and no activation maps
+    /// a pre-activation `z` above `max(|z|, 1)`.
+    fn abs_bound(&self, ps: &ParamStore, x_max: f32) -> f32 {
+        let z = abs_sum(ps.get(self.b)) + x_max * abs_sum(ps.get(self.w));
+        if z.is_finite() {
+            z.max(1.0)
+        } else {
+            f32::INFINITY
+        }
+    }
+
     /// Input width.
     pub fn in_dim(&self) -> usize {
         self.in_dim
@@ -112,6 +169,20 @@ impl Dense {
     pub fn out_dim(&self) -> usize {
         self.out_dim
     }
+}
+
+/// The sum of `|v|` over `m`, accumulated in eight lanes so that it
+/// vectorizes. A NaN or ±Inf entry makes it NaN or `+Inf`.
+fn abs_sum(m: &Matrix) -> f32 {
+    let mut lanes = [0f32; 8];
+    let chunks = m.data().chunks_exact(8);
+    let tail: f32 = chunks.remainder().iter().map(|v| v.abs()).sum();
+    for chunk in chunks {
+        for (l, v) in lanes.iter_mut().zip(chunk) {
+            *l += v.abs();
+        }
+    }
+    lanes.iter().sum::<f32>() + tail
 }
 
 /// A stack of [`Dense`] layers.
@@ -165,6 +236,26 @@ impl Mlp {
         let (first, rest) = self.layers.split_first().expect("non-empty");
         rest.iter()
             .fold(first.infer(ps, x), |h, layer| layer.infer(ps, &h))
+    }
+
+    /// [`Mlp::infer`] with the first layer run by [`Dense::infer_onehot`].
+    pub fn infer_onehot(&self, ps: &ParamStore, hot: &[usize], rest: &Matrix) -> Matrix {
+        let (first, layers) = self.layers.split_first().expect("non-empty");
+        layers
+            .iter()
+            .fold(first.infer_onehot(ps, hot, rest), |h, layer| {
+                layer.infer(ps, &h)
+            })
+    }
+
+    /// An upper bound on the magnitude of every output of [`Mlp::infer`] on
+    /// inputs of magnitude at most `x_max`, or `+Inf` when a parameter is
+    /// not finite. It is computed in `f32`, so the bound is itself rounded:
+    /// compare it against a threshold with headroom, not against `f32::MAX`.
+    pub fn abs_bound(&self, ps: &ParamStore, x_max: f32) -> f32 {
+        self.layers
+            .iter()
+            .fold(x_max, |b, layer| layer.abs_bound(ps, b))
     }
 
     /// The layers, for introspection.
@@ -472,6 +563,28 @@ mod tests {
             let ir1 = rnn.infer(&ps, &xv, &zero);
             assert_eq!(bits(&rnn.infer(&ps, &xv, &ir1)), bits(g.value(r2)));
         }
+    }
+
+    /// The matmul kernel starts every sum at `+0.0`, so a `−0.0` weight on
+    /// the hot input plus a `−0.0` bias gives `+0.0`, which `tanh` keeps.
+    #[test]
+    fn infer_onehot_starts_sums_at_positive_zero() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut ps = ParamStore::new();
+        let layer = Dense::new(&mut ps, &mut rng, "d", 3, 2, Activation::Tanh);
+        let ids: Vec<ParamId> = ps.iter().map(|(id, _)| id).collect();
+        for &id in &ids {
+            ps.get_mut(id).data_mut().fill(-0.0);
+        }
+        let hot = [0, 2, 1];
+        let x = Matrix::from_vec(3, 3, vec![1., 0., 0., 0., 0., 1., 0., 1., 0.]);
+        let got = layer.infer_onehot(&ps, &hot, &Matrix::zeros(3, 0));
+        assert_eq!(bits(&got), bits(&layer.infer(&ps, &x)));
+        assert!(
+            got.data().iter().all(|v| v.to_bits() == 0),
+            "{:?}",
+            got.data()
+        );
     }
 
     #[test]
