@@ -199,23 +199,24 @@ fn bench_models(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // One training step's forward, loss and backward on a 64-row batch —
-    // the per-step cost of victim training — for the two pairs whose
-    // training dominates a benchmark set-up: LSTM over IMDB's join
-    // templates and MSCN over STATS's.
+    // One training step's loss and gradients on a 64-row batch, through
+    // `CeModel::loss_and_grads` as training runs it — the per-step cost of
+    // victim training — for the two pairs whose training dominates a
+    // benchmark set-up: LSTM over IMDB's join templates and MSCN over
+    // STATS's.
     for (name, kind, ty) in [
         ("imdb", DatasetKind::Imdb, CeModelType::Lstm),
         ("stats", DatasetKind::Stats, CeModelType::Mscn),
     ] {
         let (model, batch) = train_step_fixture(kind, ty, 64);
+        let ln_max = model.ln_max();
         c.bench_function(&format!("models/{}_{name}_train_step", ty.name()), |b| {
             b.iter(|| {
-                let mut g = Graph::new();
-                let bind = model.params().bind(&mut g);
-                let x = g.leaf(rows_to_matrix(&batch.enc));
-                let out = model.forward(&mut g, &bind, x);
-                let loss = q_error_loss(&mut g, out, &batch.ln_card, model.ln_max());
-                black_box(g.grad_values(loss, bind.vars()))
+                black_box(model.loss_and_grads(
+                    &rows_to_matrix(&batch.enc),
+                    &|g, out| q_error_loss(g, out, &batch.ln_card, ln_max),
+                    "bench::train_step",
+                ))
             })
         });
     }

@@ -215,6 +215,15 @@ impl RollbackPoint {
     }
 }
 
+/// The `t×t` identity: the one-hot ids of MSCN's table-set elements.
+fn identity(t: usize) -> Matrix {
+    let mut m = Matrix::zeros(t, t);
+    for i in 0..t {
+        m.set(i, i, 1.0);
+    }
+    m
+}
+
 /// Stacks encoded rows into an `n×dim` matrix.
 pub fn rows_to_matrix(rows: &[Vec<f32>]) -> Matrix {
     assert!(!rows.is_empty(), "empty batch");
@@ -412,6 +421,12 @@ impl CeModel {
     }
 
     /// Differentiable forward pass: `x` is `n×dim`, result is `n×1` in (0,1).
+    ///
+    /// Every set element and every input column is on the tape, so `x` can
+    /// be differentiated through its join bits and bounds: the attack's
+    /// unroll does that. Training steps go through
+    /// [`CeModel::loss_and_grads`], which gives this tape's bits but lets
+    /// MSCN leave out the set elements a batch does not have.
     pub fn forward(&self, g: &mut Graph, bind: &Binding, x: Var) -> Var {
         let (_, dim) = g.shape(x);
         assert_eq!(dim, self.encoder.dim(), "encoded width mismatch");
@@ -495,13 +510,7 @@ impl CeModel {
         // Table set: shared MLP over all T one-hot table vectors (an identity
         // leaf), pooled by the query's normalized join bitmap. Equivalent to
         // the masked mean of per-element MLP outputs, but fully batched.
-        let eye = {
-            let mut m = Matrix::zeros(t, t);
-            for i in 0..t {
-                m.set(i, i, 1.0);
-            }
-            g.leaf(m)
-        };
+        let eye = g.leaf(identity(t));
         let table_reprs = table_mlp.forward(g, bind, eye); // T×h
         let join = g.slice_cols(x, 0, t); // n×T
         let counts = g.sum_cols(join); // n×1
@@ -623,7 +632,9 @@ impl CeModel {
     /// `n×dim`, the result `n×1`. It builds no [`Graph`] and clones no
     /// parameter, and batches what training cannot: MSCN runs the predicate
     /// elements of the whole batch through `pred_mlp` in one matrix, and
-    /// only those whose table is in the query, and RNN/LSTM advance all
+    /// only those whose table is in the query (training's
+    /// [`CeModel::loss_and_grads`] skips the same elements, one attribute
+    /// at a time), and RNN/LSTM advance all
     /// rows together, sorted by sequence length, instead of one recurrence
     /// per join pattern.
     ///
@@ -707,31 +718,25 @@ impl CeModel {
     /// `±0` while `repr` is finite, and adding `±0` to an accumulator that
     /// starts at `+0.0` (and so is never `−0.0`) leaves it unchanged. An
     /// `Inf` repr would make the term NaN instead, so a set skips its
-    /// absent elements only when its MLP's output bound is finite with
-    /// headroom, which requires every parameter of that MLP to be finite,
-    /// and, for predicates, when every absent element's bounds lie in
-    /// `[−1, 1]`. Otherwise every element of that set runs, as on the tape.
+    /// absent elements only under the guard training shares: its MLP
+    /// passes [`CeModel::skips_absent`] and, for predicates, every absent
+    /// element's bounds lie in `[−1, 1]` ([`CeModel::present_pred_elems`]).
+    /// Otherwise every element of that set runs, as on the tape.
     fn infer_mscn(&self, x: &Matrix, table_mlp: &Mlp, pred_mlp: &Mlp, head: &Mlp) -> Matrix {
         let ps = &self.params;
         let t = self.encoder.num_tables();
         let attrs = self.encoder.attributes();
         let a = attrs.len();
         let n = x.rows();
-        // Set elements are one-hot, and skipped ones have bounds in
-        // [−1, 1], so inputs have magnitude at most 1. Half of `f32::MAX`
-        // leaves room for the rounding of the bound and of the sums it
-        // bounds.
-        let bounded = |mlp: &Mlp| mlp.abs_bound(ps, 1.0) <= f32::MAX / 2.0;
-        let present = |r: usize, tb: usize| x.get(r, tb) != 0.0;
 
         let recip = x
             .slice_cols(0, t)
             .sum_cols()
             .add_scalar(1e-6)
             .pow_scalar(-1.0);
-        let skip_tables = bounded(table_mlp);
+        let skip_tables = self.skips_absent(table_mlp);
         let tables: Vec<usize> = (0..t)
-            .filter(|&tb| !skip_tables || (0..n).any(|r| present(r, tb)))
+            .filter(|&tb| !skip_tables || (0..n).any(|r| x.get(r, tb) != 0.0))
             .collect();
         let table_reprs = table_mlp.infer_onehot(ps, &tables, &Matrix::zeros(tables.len(), 0));
         let join: Vec<f32> = (0..n)
@@ -744,22 +749,14 @@ impl CeModel {
         let pred = if a == 0 {
             Matrix::zeros(n, h)
         } else {
-            let bounds = |i: usize, r: usize| (x.get(r, self.lo_col(i)), x.get(r, self.hi_col(i)));
-            let all: Vec<(usize, usize)> =
-                (0..a).flat_map(|i| (0..n).map(move |r| (i, r))).collect();
-            let (kept, absent): (Vec<_>, Vec<_>) =
-                all.iter().partition(|&&(i, r)| present(r, attrs[i].0));
-            let skip_absent = absent.iter().all(|&(i, r)| {
-                let (lo, hi) = bounds(i, r);
-                lo.abs() <= 1.0 && hi.abs() <= 1.0
-            }) && bounded(pred_mlp);
-            let elems = if skip_absent { kept } else { all };
+            let elems = self
+                .present_pred_elems(x, pred_mlp)
+                .unwrap_or_else(|| (0..a).flat_map(|i| (0..n).map(move |r| (i, r))).collect());
             let hot: Vec<usize> = elems.iter().map(|&(i, _)| i).collect();
             let mut rest = Matrix::zeros(elems.len(), 2);
             for (e, &(i, r)) in elems.iter().enumerate() {
-                let (lo, hi) = bounds(i, r);
-                rest.set(e, 0, lo);
-                rest.set(e, 1, hi);
+                rest.set(e, 0, x.get(r, self.lo_col(i)));
+                rest.set(e, 1, x.get(r, self.hi_col(i)));
             }
             let reprs = pred_mlp.infer_onehot(ps, &hot, &rest);
             let mut acc = Matrix::zeros(n, h);
@@ -779,6 +776,40 @@ impl CeModel {
             acc.mul_col(&cnt.add_scalar(1e-6).pow_scalar(-1.0))
         };
         head.infer(ps, &Matrix::concat_cols(&[&tbl, &pred]))
+    }
+
+    /// True when a set module may skip its absent elements: its MLP's
+    /// output bound on inputs of magnitude at most 1 is finite with
+    /// headroom, which requires every parameter of the MLP to be finite.
+    /// Set elements are one-hot, and skipped predicate elements have bounds
+    /// in `[−1, 1]`, so that covers every skipped input. Half of `f32::MAX`
+    /// leaves room for the rounding of the bound and of the sums it bounds.
+    fn skips_absent(&self, mlp: &Mlp) -> bool {
+        mlp.abs_bound(&self.params, 1.0) <= f32::MAX / 2.0
+    }
+
+    /// The `(attribute, row)` pairs of MSCN's predicate set whose join bit
+    /// in `x` is non-zero, in attribute-major order, when dropping the
+    /// others is exact: `pred_mlp` passes [`CeModel::skips_absent`] and
+    /// every absent element's bounds lie in `[−1, 1]`, so each absent
+    /// representation is finite and its product with the zero join bit is
+    /// `±0`. `None` when some absent element must run, as on the tape.
+    fn present_pred_elems(&self, x: &Matrix, pred_mlp: &Mlp) -> Option<Vec<(usize, usize)>> {
+        if !self.skips_absent(pred_mlp) {
+            return None;
+        }
+        let within = |v: f32| v.abs() <= 1.0;
+        let mut present = Vec::new();
+        for (i, &(tb, _)) in self.encoder.attributes().iter().enumerate() {
+            for r in 0..x.rows() {
+                if x.get(r, tb) != 0.0 {
+                    present.push((i, r));
+                } else if !(within(x.get(r, self.lo_col(i))) && within(x.get(r, self.hi_col(i)))) {
+                    return None;
+                }
+            }
+        }
+        Some(present)
     }
 
     /// The join pattern the recurrent models read from an encoded row: the
@@ -983,16 +1014,155 @@ impl CeModel {
             .all(|(_, m)| m.data().iter().all(|x| x.is_finite()))
     }
 
-    fn step_adam(&mut self, batch: &EncodedWorkload) -> f32 {
-        let _span = pace_tensor::trace::span("ce::step_adam");
+    /// The value of the scalar loss that `loss` builds on the model's
+    /// output for the encoded batch `x`, and its gradient with respect to
+    /// every parameter, in store order. This is the one place a training
+    /// step — [`CeModel::train`], [`CeModel::update`] and the attack's
+    /// surrogate imitation — differentiates the model; `context` names the
+    /// step in the tape audit (`PACE_AUDIT`).
+    ///
+    /// Every type but MSCN runs [`CeModel::forward`] on one tape and
+    /// [`Graph::grad_values`]. MSCN first tries `mscn_present_step`, which
+    /// runs the predicate set only over the set elements whose join bit is
+    /// non-zero and gives the bits of that tape; when it cannot vouch for
+    /// them, the step runs on the full tape.
+    pub fn loss_and_grads(
+        &self,
+        x: &Matrix,
+        loss: &dyn Fn(&mut Graph, Var) -> Var,
+        context: &str,
+    ) -> (f32, Vec<Matrix>) {
+        if let Arch::Mscn {
+            table_mlp,
+            pred_mlp,
+            head,
+        } = &self.arch
+        {
+            if let Some(step) = self.mscn_present_step(x, loss, context, table_mlp, pred_mlp, head)
+            {
+                return step;
+            }
+        }
         let mut g = Graph::new();
         let bind = self.params.bind(&mut g);
-        let x = g.leaf(rows_to_matrix(&batch.enc));
-        let out = self.forward(&mut g, &bind, x);
-        let loss = q_error_loss(&mut g, out, &batch.ln_card, self.ln_max);
-        pace_tensor::analysis::audit_if_enabled(&g, loss, bind.vars(), "ce::step_adam");
-        let value = g.value(loss).as_scalar();
-        let mut grads = g.grad_values(loss, bind.vars());
+        let xv = g.leaf(x.clone());
+        let out = self.forward(&mut g, &bind, xv);
+        let l = loss(&mut g, out);
+        pace_tensor::analysis::audit_if_enabled(&g, l, bind.vars(), context);
+        (g.value(l).as_scalar(), g.grad_values(l, bind.vars()))
+    }
+
+    /// [`CeModel::loss_and_grads`] for MSCN over only the predicate
+    /// elements whose join bit is non-zero. `x` is a constant, so the tape
+    /// keeps `forward_mscn`'s attribute loop and its order, but builds each
+    /// attribute's element matrix as a leaf from the rows
+    /// [`CeModel::present_pred_elems`] lists, runs it through `pred_mlp`,
+    /// scales it by its join bits and scatters it into the pooled sum
+    /// `acc`; the join matrix, the set sizes and their reciprocals are
+    /// values from the kernels the tape would run.
+    ///
+    /// A dropped element contributes `±0` to every sum it reaches — `acc`,
+    /// and in the backward pass the `actᵀ·g` weight pieces and `Σ g` bias
+    /// pieces of each `pred_mlp` layer — as long as its representation and
+    /// the gradient reaching `acc` are finite. Each of those sums starts at
+    /// `+0.0`, so it is never `−0.0` and adding `±0` leaves it unchanged,
+    /// and the kept pieces arrive in the tape's order. So the result is the
+    /// full tape's, bit for bit. `None` when the guard keeps every element,
+    /// or when the loss, a tape value, a gradient or the gradient reaching
+    /// `acc` is not finite: the full tape would turn a non-finite gradient
+    /// on a dropped row into NaN.
+    fn mscn_present_step(
+        &self,
+        x: &Matrix,
+        loss: &dyn Fn(&mut Graph, Var) -> Var,
+        context: &str,
+        table_mlp: &Mlp,
+        pred_mlp: &Mlp,
+        head: &Mlp,
+    ) -> Option<(f32, Vec<Matrix>)> {
+        let t = self.encoder.num_tables();
+        let attrs = self.encoder.attributes();
+        let a = attrs.len();
+        if a == 0 {
+            return None;
+        }
+        let elems = self.present_pred_elems(x, pred_mlp)?;
+        let n = x.rows();
+        let mut g = Graph::new();
+        let bind = self.params.bind(&mut g);
+
+        let eye = g.leaf(identity(t));
+        let table_reprs = table_mlp.forward(&mut g, &bind, eye);
+        let join = x.slice_cols(0, t);
+        let recip = g.leaf(join.sum_cols().add_scalar(1e-6).pow_scalar(-1.0));
+        let join = g.leaf(join);
+        let tbl = g.matmul(join, table_reprs);
+        let tbl = g.mul_col(tbl, recip);
+
+        let mut acc = g.leaf(Matrix::zeros(n, self.config.hidden));
+        let mut cnt = Matrix::zeros(n, 1);
+        let mut remaining = elems.as_slice();
+        for (i, &(tb, _)) in attrs.iter().enumerate() {
+            cnt = cnt.add_elems(&x.slice_cols(tb, tb + 1));
+            let k = remaining.iter().take_while(|&&(e, _)| e == i).count();
+            let (here, later) = remaining.split_at(k);
+            remaining = later;
+            if here.is_empty() {
+                continue;
+            }
+            let rows: Vec<usize> = here.iter().map(|&(_, r)| r).collect();
+            let mut elem = Matrix::zeros(k, a + 2);
+            let mut mask = Matrix::zeros(k, 1);
+            for (e, &r) in rows.iter().enumerate() {
+                elem.set(e, i, 1.0);
+                elem.set(e, a, x.get(r, self.lo_col(i)));
+                elem.set(e, a + 1, x.get(r, self.hi_col(i)));
+                mask.set(e, 0, x.get(r, tb));
+            }
+            let elem = g.leaf(elem);
+            let repr = pred_mlp.forward(&mut g, &bind, elem);
+            let mask = g.leaf(mask);
+            let masked = g.mul_col(repr, mask);
+            let placed = g.scatter_rows(masked, &rows, n);
+            acc = g.add(acc, placed);
+        }
+        let recip = g.leaf(cnt.add_scalar(1e-6).pow_scalar(-1.0));
+        let pred = g.mul_col(acc, recip);
+        let joint = g.concat_cols(&[tbl, pred]);
+        let out = head.forward(&mut g, &bind, joint);
+        let l = loss(&mut g, out);
+
+        let value = g.value(l).as_scalar();
+        let mut wrt = bind.vars().to_vec();
+        wrt.push(acc);
+        let mut grads = g.grad_values(l, &wrt);
+        let pooled = grads.pop()?;
+        let finite = value.is_finite()
+            && g.first_nonfinite().is_none()
+            && pooled.all_finite()
+            && grads.iter().all(Matrix::all_finite);
+        if !finite {
+            return None;
+        }
+        pace_tensor::analysis::audit_if_enabled(&g, l, bind.vars(), context);
+        Some((value, grads))
+    }
+
+    /// One Adam step on `batch`: the loss and gradients from
+    /// [`CeModel::loss_and_grads`], then sanitize, clip and the optimizer.
+    /// Returns the loss before the step.
+    fn step_adam(&mut self, batch: &EncodedWorkload) -> f32 {
+        let _span = pace_tensor::trace::span("ce::step_adam");
+        let ln_max = self.ln_max;
+        let (value, mut grads) = {
+            let _grads = pace_tensor::trace::span("ce::step::grads");
+            self.loss_and_grads(
+                &rows_to_matrix(&batch.enc),
+                &|g, out| q_error_loss(g, out, &batch.ln_card, ln_max),
+                "ce::step_adam",
+            )
+        };
+        let _adam = pace_tensor::trace::span("ce::step::adam");
         sanitize(&mut grads);
         clip_global_norm(&mut grads, self.config.clip_norm);
         // Chaos hook, after sanitize/clip so the injected NaN reaches the
@@ -1076,7 +1246,9 @@ impl CeModel {
 
     /// Incremental update on newly arrived queries: `update_iters` full-batch
     /// SGD steps at `update_lr` — exactly the update process the attack
-    /// differentiates through (paper Eq. 9).
+    /// differentiates through (paper Eq. 9). Each step's loss and gradients
+    /// come from [`CeModel::loss_and_grads`], with the bits of the tape the
+    /// attack unrolls.
     ///
     /// Like [`CeModel::train`], the update is self-healing: the parameters
     /// are snapshotted on entry, and an attempt that ends with non-finite
@@ -1092,23 +1264,20 @@ impl CeModel {
             return Err(TrainError::EmptyWorkload);
         }
         let entry = self.params.snapshot();
+        let x = rows_to_matrix(&data.enc);
+        let ln_max = self.ln_max;
+        let loss = |g: &mut Graph, out: Var| q_error_loss(g, out, &data.ln_card, ln_max);
         let mut lr = self.config.update_lr;
         let mut rollbacks = 0u32;
         loop {
             let mut sgd = Sgd::new(lr);
             let mut diverged = false;
             for _ in 0..self.config.update_iters {
-                let mut g = Graph::new();
-                let bind = self.params.bind(&mut g);
-                let x = g.leaf(rows_to_matrix(&data.enc));
-                let out = self.forward(&mut g, &bind, x);
-                let loss = q_error_loss(&mut g, out, &data.ln_card, self.ln_max);
-                pace_tensor::analysis::audit_if_enabled(&g, loss, bind.vars(), "ce::update");
-                if !g.value(loss).as_scalar().is_finite() {
+                let (value, mut grads) = self.loss_and_grads(&x, &loss, "ce::update");
+                if !value.is_finite() {
                     diverged = true;
                     break;
                 }
-                let mut grads = g.grad_values(loss, bind.vars());
                 sanitize(&mut grads);
                 clip_global_norm(&mut grads, self.config.update_clip);
                 fault::poison_grads("ce-update", &mut grads);

@@ -18,7 +18,7 @@ use pace_ce::{
 };
 use pace_tensor::fault;
 use pace_tensor::optim::{clip_global_norm, sanitize, Adam, AdamState, Optimizer};
-use pace_tensor::{Graph, Matrix};
+use pace_tensor::{Graph, Matrix, Var};
 use pace_workload::{
     generate_queries_schema_only, q_error, schema_only_query_for_pattern, Query, WorkloadSpec,
 };
@@ -507,22 +507,23 @@ pub fn train_surrogate(
             let rows: Vec<Vec<f32>> = chunk.iter().map(|&i| enc[i].clone()).collect();
             let bb_batch: Vec<f32> = chunk.iter().map(|&i| bb_norm[i]).collect();
             let truth_batch: Vec<f32> = chunk.iter().map(|&i| ln_true[i]).collect();
-            let mut g = Graph::new();
-            let bind = surrogate.params().bind(&mut g);
-            let x = g.leaf(pace_ce::rows_to_matrix(&rows));
-            let out = surrogate.forward(&mut g, &bind, x);
-            let bb_leaf = g.leaf(Matrix::from_vec(bb_batch.len(), 1, bb_batch));
-            let imitate = q_error_between(&mut g, out, bb_leaf, k.ln_max);
-            let loss = match cfg.strategy {
-                ImitationStrategy::Direct => imitate,
-                ImitationStrategy::Combined => {
-                    let ground = q_error_loss(&mut g, out, &truth_batch, k.ln_max);
-                    g.add(imitate, ground)
+            let bb_batch = Matrix::from_vec(bb_batch.len(), 1, bb_batch);
+            let loss = |g: &mut Graph, out: Var| {
+                let bb_leaf = g.leaf(bb_batch.clone());
+                let imitate = q_error_between(g, out, bb_leaf, k.ln_max);
+                match cfg.strategy {
+                    ImitationStrategy::Direct => imitate,
+                    ImitationStrategy::Combined => {
+                        let ground = q_error_loss(g, out, &truth_batch, k.ln_max);
+                        g.add(imitate, ground)
+                    }
                 }
             };
-            pace_tensor::analysis::audit_if_enabled(&g, loss, bind.vars(), "surrogate::imitate");
-            let loss_value = g.value(loss).as_scalar();
-            let mut grads = g.grad_values(loss, bind.vars());
+            let (loss_value, mut grads) = surrogate.loss_and_grads(
+                &pace_ce::rows_to_matrix(&rows),
+                &loss,
+                "surrogate::imitate",
+            );
             sanitize(&mut grads);
             clip_global_norm(&mut grads, surrogate.config().clip_norm);
             // Fault hook after sanitize/clip, so an injected NaN reaches the

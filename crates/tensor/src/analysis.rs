@@ -466,6 +466,38 @@ pub fn inferred_shape(g: &Graph, v: Var) -> Result<(usize, usize), String> {
                 Ok((end - start, c))
             }
         }
+        Op::GatherRows(a, ref rows) => {
+            let (r, c) = sh(a);
+            if rows.n != r {
+                Err(format!(
+                    "GatherRows indexes {} rows, but n{} has {r}",
+                    rows.n,
+                    a.index()
+                ))
+            } else if let Some(i) = rows.idx.iter().find(|&&i| i >= r) {
+                Err(format!(
+                    "GatherRows index {i} out of bounds for n{} with {r} rows",
+                    a.index()
+                ))
+            } else {
+                Ok((rows.idx.len(), c))
+            }
+        }
+        Op::ScatterRows(a, ref rows) => {
+            let (r, c) = sh(a);
+            let n = rows.n;
+            if rows.idx.len() != r {
+                Err(format!(
+                    "ScatterRows has {} indices for n{} with {r} rows",
+                    rows.idx.len(),
+                    a.index()
+                ))
+            } else if let Some(i) = rows.idx.iter().find(|&&i| i >= n) {
+                Err(format!("ScatterRows index {i} out of bounds for {n} rows"))
+            } else {
+                Ok((n, c))
+            }
+        }
     }
 }
 
@@ -682,6 +714,8 @@ fn closure_check(kind: &'static str) -> Option<ClosureFailure> {
             "ConcatRows" => g.concat_rows(&[a, b]),
             "SliceCols" => g.slice_cols(a, 1, 3),
             "SliceRows" => g.slice_rows(a, 0, 1),
+            "GatherRows" => g.gather_rows(a, &[1, 0]),
+            "ScatterRows" => g.scatter_rows(a, &[2, 0], 3),
             other => panic!("closure_check: unknown op kind {other}"),
         };
         let s = g.sum_all(y);
@@ -1004,6 +1038,9 @@ mod tests {
         let cr = g.concat_rows(&[cc, cc]);
         let s1 = g.slice_cols(cr, 0, 2);
         let s2 = g.slice_rows(s1, 0, 2);
+        let gr = g.gather_rows(s2, &[1]);
+        let sr2 = g.scatter_rows(gr, &[0], 2);
+        let s2 = g.add(s2, sr2);
         let ma = g.mean_all(s2);
         let bs = g.broadcast_scalar(ma, 2, 2);
         let sa = g.sum_all(bs);
@@ -1011,7 +1048,7 @@ mod tests {
         assert!(report.closure_failures.is_empty(), "{}", report.render());
         assert_eq!(
             report.closure_checked,
-            34,
+            36,
             "every non-Leaf op kind is reachable: {}",
             report.render()
         );

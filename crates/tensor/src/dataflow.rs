@@ -66,7 +66,12 @@ pub fn node_cost(g: &Graph, v: Var) -> Cost {
             in_len(a)
         }
         Op::RepeatRows(..) | Op::RepeatCols(..) | Op::BroadcastScalar(..) => out,
-        Op::ConcatCols(_) | Op::ConcatRows(_) | Op::SliceCols(..) | Op::SliceRows(..) => out,
+        Op::ConcatCols(_)
+        | Op::ConcatRows(_)
+        | Op::SliceCols(..)
+        | Op::SliceRows(..)
+        | Op::GatherRows(..)
+        | Op::ScatterRows(..) => out,
     };
     let in_bytes: usize = op_inputs(g.op(v))
         .iter()

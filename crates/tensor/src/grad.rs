@@ -100,7 +100,9 @@ pub(crate) fn op_inputs(op: &Op) -> Operands<'_> {
         | Op::RepeatCols(a, _)
         | Op::BroadcastScalar(a, _, _)
         | Op::SliceCols(a, _, _)
-        | Op::SliceRows(a, _, _) => Operands::Inline([*a, *a], 1),
+        | Op::SliceRows(a, _, _)
+        | Op::GatherRows(a, _)
+        | Op::ScatterRows(a, _) => Operands::Inline([*a, *a], 1),
         Op::ConcatCols(parts) | Op::ConcatRows(parts) => Operands::Parts(parts),
     }
 }
@@ -514,6 +516,14 @@ impl Graph {
                 };
                 self.add_grad(grads, a, ga);
             }
+            Op::GatherRows(a, ref rows) => {
+                let ga = self.scatter_rows(g, &rows.idx, rows.n);
+                self.add_grad(grads, a, ga);
+            }
+            Op::ScatterRows(a, ref rows) => {
+                let ga = self.gather_rows(g, &rows.idx);
+                self.add_grad(grads, a, ga);
+            }
         }
     }
 
@@ -870,6 +880,9 @@ impl Graph {
                 };
                 accumulate(grads, a, ga);
             }
+            // Like the slices' padding, the `+0.0` rows are still added.
+            Op::GatherRows(a, ref rows) => accumulate(grads, a, g.scatter_rows(&rows.idx, rows.n)),
+            Op::ScatterRows(a, ref rows) => accumulate(grads, a, g.gather_rows(&rows.idx)),
         }
     }
 

@@ -77,6 +77,20 @@ pub(crate) enum Op {
     ConcatRows(Vec<Var>),
     SliceCols(Var, usize, usize),
     SliceRows(Var, usize, usize),
+    /// The operand's rows at the listed indices, in list order.
+    GatherRows(Var, Box<RowIndex>),
+    /// The operand's rows placed at the listed rows of a matrix of zeros —
+    /// the inverse of `GatherRows`, and its VJP.
+    ScatterRows(Var, Box<RowIndex>),
+}
+
+/// Distinct row indices into an `n`-row matrix: the rows `Op::GatherRows`
+/// reads from its operand, and those `Op::ScatterRows` writes in its
+/// output. Boxed in `Op`, so that the two ops do not widen every node.
+#[derive(Clone, Debug)]
+pub(crate) struct RowIndex {
+    pub(crate) idx: Vec<usize>,
+    pub(crate) n: usize,
 }
 
 impl Op {
@@ -118,6 +132,8 @@ impl Op {
             Op::ConcatRows(_) => "ConcatRows",
             Op::SliceCols(..) => "SliceCols",
             Op::SliceRows(..) => "SliceRows",
+            Op::GatherRows(..) => "GatherRows",
+            Op::ScatterRows(..) => "ScatterRows",
         }
     }
 }
@@ -467,6 +483,33 @@ impl Graph {
         self.push(Op::SliceRows(a, start, end), v)
     }
 
+    /// The rows of `a` at `idx`, in that order. `idx` may be empty.
+    ///
+    /// # Panics
+    /// Panics when an index repeats or is out of range.
+    pub fn gather_rows(&mut self, a: Var, idx: &[usize]) -> Var {
+        let m = &self.nodes[a.0].value;
+        let (v, n) = (m.gather_rows(idx), m.rows());
+        let rows = RowIndex {
+            idx: idx.to_vec(),
+            n,
+        };
+        self.push(Op::GatherRows(a, Box::new(rows)), v)
+    }
+
+    /// An `n`-row matrix of `+0.0` whose row `idx[k]` is row `k` of `a`.
+    ///
+    /// # Panics
+    /// Panics unless `idx` has one distinct in-range index per row of `a`.
+    pub fn scatter_rows(&mut self, a: Var, idx: &[usize], n: usize) -> Var {
+        let v = self.nodes[a.0].value.scatter_rows(idx, n);
+        let rows = RowIndex {
+            idx: idx.to_vec(),
+            n,
+        };
+        self.push(Op::ScatterRows(a, Box::new(rows)), v)
+    }
+
     pub(crate) fn op(&self, v: Var) -> &Op {
         &self.nodes[v.0].op
     }
@@ -527,6 +570,13 @@ mod tests {
         let b = g.leaf(Matrix::row(&[10., 0.]));
         let out = g.mul_row(m, b);
         assert_eq!(g.value(out).data(), &[10., 0., 30., 0.]);
+    }
+
+    /// Every node holds an `Op`, and the tapes of the attack's unroll hold
+    /// thousands: an op's operands stay inline only while they are small.
+    #[test]
+    fn ops_stay_four_words() {
+        assert!(size_of::<Op>() <= 32, "Op is {} bytes", size_of::<Op>());
     }
 
     #[test]

@@ -140,6 +140,17 @@ pub(crate) fn transpose_into(dst: &mut Matrix, src: &Matrix) {
     }
 }
 
+/// Asserts that `idx` names distinct rows of an `n`-row matrix, so that
+/// gathering and scattering those rows are each other's inverse.
+fn check_row_indices(idx: &[usize], n: usize) {
+    let mut seen = vec![false; n];
+    for &r in idx {
+        assert!(r < n, "row index {r} out of range for {n} rows");
+        assert!(!seen[r], "row index {r} repeats");
+        seen[r] = true;
+    }
+}
+
 /// A dense, row-major matrix of `f32` values.
 ///
 /// Scalars are represented as `1×1`, row vectors as `1×n`. All autograd ops
@@ -584,6 +595,45 @@ impl Matrix {
         }
     }
 
+    /// The rows at `idx`, in that order: `k×cols` for `k` indices.
+    ///
+    /// # Panics
+    /// Panics when an index repeats or is out of range.
+    pub fn gather_rows(&self, idx: &[usize]) -> Self {
+        check_row_indices(idx, self.rows);
+        let mut data = Vec::with_capacity(idx.len() * self.cols);
+        for &r in idx {
+            data.extend_from_slice(self.row_slice(r));
+        }
+        Self {
+            rows: idx.len(),
+            cols: self.cols,
+            data,
+        }
+    }
+
+    /// An `n×cols` matrix of `+0.0` whose row `idx[k]` is this matrix's row
+    /// `k` — the inverse of [`Matrix::gather_rows`].
+    ///
+    /// # Panics
+    /// Panics unless there is one index per row, each below `n` and none
+    /// repeated.
+    pub fn scatter_rows(&self, idx: &[usize], n: usize) -> Self {
+        assert_eq!(
+            idx.len(),
+            self.rows,
+            "scatter_rows needs one index per row: {} for {} rows",
+            idx.len(),
+            self.rows
+        );
+        check_row_indices(idx, n);
+        let mut out = Self::zeros(n, self.cols);
+        for (k, &r) in idx.iter().enumerate() {
+            out.data[r * self.cols..(r + 1) * self.cols].copy_from_slice(self.row_slice(k));
+        }
+        out
+    }
+
     /// Reshapes this matrix in place to `rows×cols`, reusing the existing
     /// allocation where possible. Element contents are unspecified afterwards;
     /// callers must overwrite every element. Used by [`matmul_into`] to
@@ -789,6 +839,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn gather_and_scatter_rows_invert_each_other() {
+        let m = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
+        let picked = m.gather_rows(&[2, 0]);
+        assert_eq!(picked.data(), &[5., 6., 1., 2.]);
+        let back = picked.scatter_rows(&[2, 0], 3);
+        assert_eq!(back.data(), &[1., 2., 0., 0., 5., 6.]);
+        assert!(back.data().iter().all(|v| v.is_sign_positive()));
+        assert_eq!(back.gather_rows(&[2, 0]), picked);
+    }
+
+    #[test]
+    fn empty_row_index_lists_give_empty_and_zero_matrices() {
+        let m = Matrix::from_vec(2, 3, vec![1.0; 6]);
+        assert_eq!(m.gather_rows(&[]).shape(), (0, 3));
+        let none = Matrix::zeros(0, 3).scatter_rows(&[], 4);
+        assert_eq!(none, Matrix::zeros(4, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats")]
+    fn gather_rows_rejects_a_repeated_index() {
+        let _ = Matrix::zeros(3, 1).gather_rows(&[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn gather_rows_rejects_an_out_of_range_index() {
+        let _ = Matrix::zeros(3, 1).gather_rows(&[3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats")]
+    fn scatter_rows_rejects_a_repeated_index() {
+        let _ = Matrix::zeros(2, 1).scatter_rows(&[0, 0], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn scatter_rows_rejects_an_out_of_range_index() {
+        let _ = Matrix::zeros(1, 1).scatter_rows(&[5], 3);
     }
 
     #[test]

@@ -228,6 +228,24 @@ fn grad_structural() {
         let y2 = g.mul(y, y);
         g.sum_all(y2)
     });
+    assert_grad_close("gather_rows", &m23(), TOL, |g, x| {
+        let y = g.gather_rows(x, &[1, 0]);
+        let w = g.leaf(Matrix::from_vec(2, 3, vec![0.7, -0.3, 0.2, 1.1, 0.4, -0.8]));
+        let y2 = g.mul(y, w);
+        let y3 = g.mul(y2, y);
+        g.sum_all(y3)
+    });
+    assert_grad_close("scatter_rows", &m23(), TOL, |g, x| {
+        let y = g.scatter_rows(x, &[2, 0], 4);
+        let w = g.leaf(Matrix::from_vec(
+            4,
+            3,
+            (0..12).map(|i| 0.1 * i as f32 - 0.5).collect(),
+        ));
+        let y2 = g.mul(y, w);
+        let y3 = g.mul(y2, y);
+        g.sum_all(y3)
+    });
 }
 
 #[test]
@@ -482,6 +500,14 @@ fn second_order_every_op() {
         }),
         ("slice_rows", m23(), |g, x| {
             let y = g.slice_rows(x, 1, 2);
+            sq_sum(g, y)
+        }),
+        ("gather_rows", m23(), |g, x| {
+            let y = g.gather_rows(x, &[1, 0]);
+            sq_sum(g, y)
+        }),
+        ("scatter_rows", m23(), |g, x| {
+            let y = g.scatter_rows(x, &[2, 0], 4);
             sq_sum(g, y)
         }),
     ];

@@ -48,7 +48,7 @@ fn leaves(g: &mut Graph, r: usize, c: usize, vals: &[f32]) -> Vec<Var> {
 fn apply_op(g: &mut Graph, x: Var, y: Var, leaves: &[Var], pick: u8) -> Var {
     let (r, c) = g.shape(x);
     let (w, row, col) = (leaves[3], leaves[4], leaves[5]);
-    match pick % 22 {
+    match pick % 23 {
         0 => g.add(x, y),
         1 => g.sub(x, y),
         2 => g.mul(x, y),
@@ -106,6 +106,12 @@ fn apply_op(g: &mut Graph, x: Var, y: Var, leaves: &[Var], pick: u8) -> Var {
             let s = g.sum_cols(y);
             let back = g.repeat_cols(s, c);
             g.mul(back, x)
+        }
+        22 => {
+            let idx: Vec<usize> = (0..r).rev().step_by(2).collect();
+            let picked = g.gather_rows(x, &idx);
+            let placed = g.scatter_rows(picked, &idx, r);
+            g.add(placed, y)
         }
         _ => {
             let s = g.mean_all(x);

@@ -106,3 +106,39 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// A span's time excludes the lines written while it was open, so the
+/// children of a parent that does nothing but run them cover it: here ≥ 95%,
+/// with 200 children of a few microseconds each, where a line written at
+/// each child's close used to count in the parent alone.
+#[test]
+fn children_doing_real_work_cover_their_parent() {
+    let _guard = lock();
+    let path = std::env::temp_dir().join(format!("pace-trace-cover-{}.jsonl", std::process::id()));
+    trace::install(Some(path.clone()));
+    let a = matrix_from(24, 24, &[3, 7, 11]);
+    {
+        let _parent = trace::span("prop::parent");
+        for _ in 0..200 {
+            let _child = trace::span("prop::child");
+            std::hint::black_box(a.matmul(&a));
+        }
+    }
+    trace::flush();
+    trace::install(None);
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let _ = std::fs::remove_file(&path);
+    let dur = |name: &str| -> u64 {
+        text.lines()
+            .filter_map(trace::read::parse_line)
+            .filter(|m| m.get("name").and_then(|v| v.as_str()) == Some(name))
+            .filter_map(|m| m.get("dur_ns").and_then(|v| v.as_u64()))
+            .sum()
+    };
+    let (parent, children) = (dur("prop::parent"), dur("prop::child"));
+    assert!(parent > 0, "no parent span in the trace");
+    assert!(
+        children as f64 >= 0.95 * parent as f64,
+        "children cover {children} of {parent} ns"
+    );
+}

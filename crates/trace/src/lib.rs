@@ -46,8 +46,10 @@
 //! ```
 //!
 //! `start_ns`/`dur_ns` are nanoseconds on one process-global monotonic
-//! clock; `tid` is a small per-process thread ordinal; `depth` is the
-//! span-nesting depth *on that thread* at entry. Spans are written when
+//! clock, less the time the span's thread had spent writing span lines
+//! (so compare starts only within a thread); `tid` is a small per-process
+//! thread ordinal; `depth` is the span-nesting depth *on that thread* at
+//! entry. Spans are written when
 //! they close, so children precede parents in the file — readers
 //! ([`read::parse_line`], `xtask trace-report`) sort by start time.
 
@@ -304,6 +306,10 @@ thread_local! {
     static TID: Cell<u64> = const { Cell::new(u64::MAX) };
     /// Current span-nesting depth on this thread.
     static DEPTH: Cell<u64> = const { Cell::new(0) };
+    /// Nanoseconds this thread has spent writing span lines. Span times
+    /// are read on the thread's clock minus this total, so the write of a
+    /// closing child counts in no span instead of in its parent.
+    static EMITTED_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn tid() -> u64 {
@@ -339,6 +345,15 @@ pub fn span_at(name: &'static str, idx: u64) -> Span {
     span_impl(name, Some(idx))
 }
 
+/// The span clock: [`now_ns`] minus the time this thread has spent
+/// writing span lines. It is monotone per thread, and a span's `start_ns`
+/// and `dur_ns` are read on it, so a parent's children still nest inside
+/// it and no span's duration includes a line written while it was open.
+/// Each write is still flushed at once, so a trace survives a crash.
+fn span_clock() -> u64 {
+    now_ns().saturating_sub(EMITTED_NS.with(Cell::get))
+}
+
 fn span_impl(name: &'static str, idx: Option<u64>) -> Span {
     if disarmed() {
         return Span {
@@ -360,7 +375,7 @@ fn span_impl(name: &'static str, idx: Option<u64>) -> Span {
         idx,
         tid: tid(),
         depth,
-        start_ns: now_ns(),
+        start_ns: span_clock(),
         active: true,
     }
 }
@@ -371,7 +386,9 @@ impl Drop for Span {
             return;
         }
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        let dur = now_ns().saturating_sub(self.start_ns);
+        let end = now_ns();
+        let emitted = EMITTED_NS.with(Cell::get);
+        let dur = end.saturating_sub(emitted).saturating_sub(self.start_ns);
         with_sink(|s| {
             let mut fields = vec![("ev", Val::S("span")), ("name", Val::S(self.name))];
             if let Some(idx) = self.idx {
@@ -383,6 +400,8 @@ impl Drop for Span {
             fields.push(("dur_ns", Val::U(dur)));
             write_line(s, &fields);
         });
+        let spent = now_ns().saturating_sub(end);
+        EMITTED_NS.with(|e| e.set(emitted.saturating_add(spent)));
     }
 }
 

@@ -542,7 +542,8 @@ fn value_bits(g: &Graph, vars: &[Var]) -> Vec<Vec<u32>> {
 /// eager tape. The value-only pass the optimizer steps run
 /// (`Graph::grad_values`) must give the recorded gradients' bits too —
 /// for the hypergradient, through the unroll's recorded inner gradients —
-/// and append nothing.
+/// and append nothing. `CeModel::loss_and_grads`, the step training runs,
+/// must give the reference's loss and gradient bits too.
 #[test]
 fn production_gradients_match_all_leaves_reference() {
     let ds = build(DatasetKind::Tpch, Scale::quick(), 2);
@@ -638,6 +639,28 @@ fn production_gradients_match_all_leaves_reference() {
                 rg.len()
             );
         }
+
+        // The production step, which MSCN runs over only the set elements
+        // the batch has, against the same all-leaves reference.
+        let ln_max = model.ln_max();
+        let (value, grads) = model.loss_and_grads(
+            &rows_to_matrix(&data.enc[poison.clone()]),
+            &|g, out| q_error_loss(g, out, &data.ln_card[poison.clone()], ln_max),
+            "test::production_step",
+        );
+        let mut got = vec![vec![value.to_bits()]];
+        got.extend(
+            grads
+                .iter()
+                .map(|m| m.data().iter().map(|x| x.to_bits()).collect()),
+        );
+        let (rg, r_outputs) = &cases[0].2;
+        assert_eq!(
+            got,
+            value_bits(rg, r_outputs),
+            "{}: loss_and_grads differs from the all-leaves reference",
+            ty.name()
+        );
     }
 }
 
