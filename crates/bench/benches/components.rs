@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the substrate components: autograd
 //! (including the attack's double-backward unroll), the exact-count engine
 //! (including the attack-shaped decoded queries it labels),
-//! the join-order optimizer, CE-model inference and training steps, and
-//! generator steps.
+//! the join-order optimizer, CE-model inference and training steps,
+//! generator steps, and serve admission's query validation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pace_ce::{q_error_loss, rows_to_matrix, CeConfig, CeModel, CeModelType, EncodedWorkload};
@@ -272,9 +272,31 @@ fn bench_generator(c: &mut Criterion) {
     });
 }
 
+/// Serve admission's validation over a 256-query serving pool (the
+/// perfbench recipe: join patterns of up to 3 tables, JOB templates on
+/// IMDB), as every admitted request runs it.
+fn bench_serve(c: &mut Criterion) {
+    for (name, kind) in [("tpch", DatasetKind::Tpch), ("imdb", DatasetKind::Imdb)] {
+        let ds = build(kind, Scale::quick(), 42);
+        let spec = WorkloadSpec {
+            max_join_tables: 3,
+            ..WorkloadSpec::default()
+        };
+        let mut rng = StdRng::seed_from_u64(0x9001);
+        let pool = match templates_for(&ds) {
+            Some(t) => generate_from_templates(&ds, &t, &spec, &mut rng, 256),
+            None => generate_queries(&ds, &spec, &mut rng, 256),
+        };
+        c.bench_function(&format!("serve/is_valid_{name}"), |b| {
+            b.iter(|| pool.iter().filter(|q| q.is_valid(&ds.schema)).count())
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_autograd, bench_engine, bench_engine_decoded, bench_models, bench_generator
+    targets = bench_autograd, bench_engine, bench_engine_decoded, bench_models, bench_generator,
+        bench_serve
 }
 criterion_main!(benches);

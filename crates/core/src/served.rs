@@ -292,7 +292,7 @@ impl BlackBox for ServedVictim<'_> {
                 id,
                 arrival,
                 deadline: arrival + self.traffic.probe_deadline,
-                query: q.clone(),
+                query: q.clone().into(),
             }],
             Vec::new(),
         );

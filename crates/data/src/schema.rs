@@ -178,37 +178,30 @@ impl Schema {
         adj
     }
 
+    /// Whether `(table, col)` is a filterable attribute column. Out-of-range
+    /// indices are not.
+    pub fn is_attribute(&self, table: usize, col: usize) -> bool {
+        self.tables
+            .get(table)
+            .and_then(|t| t.columns.get(col))
+            .is_some_and(|c| c.role == ColumnRole::Attribute)
+    }
+
     /// Whether the given table subset induces a connected subgraph of the
-    /// join graph. Singletons are connected; the empty set is not.
+    /// join graph. Singletons are connected; the empty set is not, and
+    /// neither is a list with an out-of-range or repeated table index.
+    ///
+    /// The join graph is a forest (asserted at construction), and so is the
+    /// subgraph induced by any `d` distinct tables: with `c ≥ 1` components
+    /// it has `d - c` edges. A list of `k` entries therefore has `k - 1`
+    /// induced edges exactly when its entries are distinct, in range and
+    /// connected: a repeated or out-of-range entry counts toward `k` but
+    /// adds no edge. Only a list with no in-range entry (`d = 0`) escapes
+    /// the count, and the first entry's range check catches it. One pass
+    /// over `edges`, no allocation.
     pub fn is_connected(&self, tables: &[usize]) -> bool {
-        if tables.is_empty() {
-            return false;
-        }
-        if tables.len() == 1 {
-            return true;
-        }
-        let in_set = {
-            let mut v = vec![false; self.tables.len()];
-            for &t in tables {
-                v[t] = true;
-            }
-            v
-        };
-        let adj = self.adjacency();
-        let mut seen = vec![false; self.tables.len()];
-        let mut stack = vec![tables[0]];
-        seen[tables[0]] = true;
-        let mut count = 1;
-        while let Some(t) = stack.pop() {
-            for &(n, _) in &adj[t] {
-                if in_set[n] && !seen[n] {
-                    seen[n] = true;
-                    count += 1;
-                    stack.push(n);
-                }
-            }
-        }
-        count == tables.len()
+        tables.first().is_some_and(|&t| t < self.tables.len())
+            && self.induced_edges(tables).count() == tables.len() - 1
     }
 
     /// Enumerates every connected table subset of size `1..=max_size`
@@ -250,13 +243,12 @@ impl Schema {
     }
 
     /// The edges whose both endpoints fall inside `tables` (the join
-    /// predicate induced by a pattern).
-    pub fn induced_edges(&self, tables: &[usize]) -> Vec<JoinEdge> {
+    /// predicate induced by a pattern), in schema order.
+    pub fn induced_edges<'a>(&'a self, tables: &'a [usize]) -> impl Iterator<Item = JoinEdge> + 'a {
         self.edges
             .iter()
             .copied()
             .filter(|e| tables.contains(&e.left.0) && tables.contains(&e.right.0))
-            .collect()
     }
 }
 
@@ -325,8 +317,25 @@ mod tests {
         assert!(s.is_connected(&[0]));
         assert!(s.is_connected(&[0, 1]));
         assert!(s.is_connected(&[0, 1, 2]));
+        assert!(s.is_connected(&[2, 1, 0]));
         assert!(!s.is_connected(&[0, 2]));
         assert!(!s.is_connected(&[]));
+        // Out-of-range and repeated indices, singleton or not.
+        assert!(!s.is_connected(&[3]));
+        assert!(!s.is_connected(&[0, 99]));
+        assert!(!s.is_connected(&[0, 0]));
+        assert!(!s.is_connected(&[0, 1, 1]));
+    }
+
+    #[test]
+    fn attribute_lookup_checks_range_and_role() {
+        let s = tiny();
+        for t in 0..4 {
+            for c in 0..5 {
+                assert_eq!(s.is_attribute(t, c), s.attributes().contains(&(t, c)));
+            }
+        }
+        assert!(!s.is_attribute(usize::MAX, 1));
     }
 
     #[test]
@@ -349,9 +358,9 @@ mod tests {
     #[test]
     fn induced_edges_subset() {
         let s = tiny();
-        assert_eq!(s.induced_edges(&[0, 1]).len(), 1);
-        assert_eq!(s.induced_edges(&[0, 2]).len(), 0);
-        assert_eq!(s.induced_edges(&[0, 1, 2]).len(), 2);
+        assert_eq!(s.induced_edges(&[0, 1]).count(), 1);
+        assert_eq!(s.induced_edges(&[0, 2]).count(), 0);
+        assert_eq!(s.induced_edges(&[0, 1, 2]).count(), 2);
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //! TPC-H an attack-shaped decoded query takes ~17 µs on a 2-vCPU Xeon
 //! (criterion `engine/count_decoded_tpch`).
 
-use pace_data::Dataset;
+use pace_data::{Dataset, JoinEdge};
 use pace_runtime as pool;
 use pace_workload::{LabeledQuery, Query, Workload};
 use std::collections::HashMap;
@@ -345,7 +345,7 @@ pub fn naive_count(ds: &Dataset, q: &Query) -> u64 {
     if tables.iter().any(|&t| ds.tables[t].num_rows() == 0) {
         return 0;
     }
-    let edges = ds.schema.induced_edges(tables);
+    let edges: Vec<JoinEdge> = ds.schema.induced_edges(tables).collect();
     let mut rows = vec![0usize; tables.len()];
     let mut count = 0u64;
     'outer: loop {

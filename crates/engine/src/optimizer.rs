@@ -60,10 +60,9 @@ pub fn optimize(q: &Query, schema: &Schema, est: &dyn CardEstimator) -> Plan {
     }
 
     // Local adjacency between pattern tables.
-    let adj_edges = schema.induced_edges(tables);
     let local = |t: usize| tables.iter().position(|&x| x == t).expect("in pattern");
     let mut adj = vec![0u32; n];
-    for e in &adj_edges {
+    for e in schema.induced_edges(tables) {
         let (a, b) = (local(e.left.0), local(e.right.0));
         adj[a] |= 1 << b;
         adj[b] |= 1 << a;

@@ -14,6 +14,7 @@ use pace_workload::Query;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// One load phase: `rate` requests per virtual second for `duration`
 /// virtual seconds.
@@ -31,7 +32,8 @@ pub struct Phase {
 pub const OVERLOAD_BURST: usize = 24;
 
 /// Generates the open-loop arrival stream for `phases`, drawing queries
-/// round-robin-with-jitter from `pool`. Ids are assigned starting at
+/// round-robin-with-jitter from `pool`. Each pool query is copied once and
+/// shared by every request that draws it. Ids are assigned starting at
 /// `first_id` in arrival order; every request gets `deadline` virtual
 /// seconds of budget. When the `overload` fault (site `serve-admit`)
 /// fires at an arrival, [`OVERLOAD_BURST`] extra requests land at the
@@ -44,16 +46,17 @@ pub fn generate(
     first_id: u64,
 ) -> Vec<Request> {
     assert!(!pool.is_empty(), "query pool must be non-empty");
+    let pool: Vec<Arc<Query>> = pool.iter().cloned().map(Arc::new).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::new();
     let mut t = 0.0_f64;
     let mut id = first_id;
-    let push = |out: &mut Vec<Request>, id: &mut u64, at: f64, q: &Query| {
+    let push = |out: &mut Vec<Request>, id: &mut u64, at: f64, q: &Arc<Query>| {
         out.push(Request {
             id: *id,
             arrival: at,
             deadline: at + deadline,
-            query: q.clone(),
+            query: Arc::clone(q),
         });
         *id += 1;
     };

@@ -97,8 +97,9 @@ pub struct Request {
     pub arrival: f64,
     /// Absolute virtual deadline; a reply after this instant is a miss.
     pub deadline: f64,
-    /// The query to estimate.
-    pub query: Query,
+    /// The query to estimate, shared: a stream that serves one query many
+    /// times (a load generator's pool) holds it once.
+    pub query: Arc<Query>,
 }
 
 /// Which estimator produced a served estimate.
@@ -639,7 +640,7 @@ mod tests {
                     id: first_id + i,
                     arrival: start + i as f64 * 1e-3,
                     deadline: start + 10.0,
-                    query: q.clone(),
+                    query: q.clone().into(),
                 })
                 .collect()
         };

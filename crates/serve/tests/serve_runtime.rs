@@ -10,7 +10,7 @@ use pace_serve::{
     Server, Source, SwapError, SwapEvent,
 };
 use pace_tensor::fault::{self, FaultSpec};
-use pace_workload::{generate_queries, Query, QueryEncoder, WorkloadSpec};
+use pace_workload::{generate_queries, Predicate, Query, QueryEncoder, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -34,10 +34,13 @@ struct Setup {
 }
 
 fn setup(seed: u64) -> Setup {
-    let ds = build(DatasetKind::Dmv, Scale::tiny(), seed);
+    setup_on(DatasetKind::Dmv, WorkloadSpec::single_table(), seed)
+}
+
+fn setup_on(kind: DatasetKind, spec: WorkloadSpec, seed: u64) -> Setup {
+    let ds = build(kind, Scale::tiny(), seed);
     let exec = Executor::new(&ds);
     let mut rng = StdRng::seed_from_u64(seed + 1);
-    let spec = WorkloadSpec::single_table();
     let labeled = exec.label_nonzero(generate_queries(&ds, &spec, &mut rng, 160));
     let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
     let mut model = CeModel::new(CeModelType::Linear, &ds, CeConfig::quick(), seed + 2);
@@ -147,20 +150,20 @@ fn deadlines_are_enforced_at_admission_formation_and_completion() {
         id: 0,
         arrival: 0.0,
         deadline: 0.001,
-        query: s.pool[0].clone(),
+        query: s.pool[0].clone().into(),
     };
     // A request whose deadline has already passed at admission.
     let expired = Request {
         id: 1,
         arrival: 0.5,
         deadline: 0.4,
-        query: s.pool[1].clone(),
+        query: s.pool[1].clone().into(),
     };
     let roomy = Request {
         id: 2,
         arrival: 0.6,
         deadline: 0.9,
-        query: s.pool[2].clone(),
+        query: s.pool[2].clone().into(),
     };
     let replies = srv.run(vec![tight, expired, roomy], vec![]);
     let by_id = |id: u64| {
@@ -178,21 +181,65 @@ fn deadlines_are_enforced_at_admission_formation_and_completion() {
     assert_eq!(srv.summary().deadline_missed, 2);
 }
 
+/// Every malformed shape is rejected at admission, before any schema
+/// lookup can index out of range and before the encoder sees it. An
+/// out-of-range singleton once passed validation and panicked in the
+/// encoder inside a batch; `[0, 99]` once panicked inside the
+/// connectivity check.
 #[test]
 fn malformed_requests_are_typed_and_do_not_reach_the_model() {
     let _g = lock();
     fault::install(None);
-    let s = setup(107);
+    let s = setup_on(DatasetKind::Tpch, WorkloadSpec::default(), 107);
+    let schema = &s.ds.schema;
+    let edge = schema.edges[0];
+    let pair = vec![edge.left.0, edge.right.0];
+    let attrs = schema.attributes();
+    let (t, c) = *attrs
+        .iter()
+        .find(|&&(t, _)| t == pair[0])
+        .expect("a joined table has an attribute");
+    let (outside, outside_col) = *attrs
+        .iter()
+        .find(|&&(t, _)| !pair.contains(&t))
+        .expect("an attribute outside the pair");
+    let pred = |table: usize, col: usize, lo: i64, hi: i64| Predicate { table, col, lo, hi };
+    let raw = |tables: Vec<usize>, predicates: Vec<Predicate>| Query { tables, predicates };
+    let queries = [
+        raw(vec![], vec![]),
+        raw(vec![99], vec![]),
+        raw(vec![0, 99], vec![]),
+        raw(vec![0, 0], vec![]),
+        raw(pair.clone(), vec![pred(99, c, 0, 5)]),
+        raw(pair.clone(), vec![pred(t, 99, 0, 5)]),
+        raw(pair.clone(), vec![pred(t, c, 5, 0)]),
+        raw(pair.clone(), vec![pred(outside, outside_col, 0, 5)]),
+    ];
+    assert!(
+        raw(pair.clone(), vec![pred(t, c, 0, 5)]).is_valid(schema),
+        "the well-formed base query is admissible"
+    );
     let mut srv = server(&s, ServeConfig::default());
-    let bad = Request {
-        id: 0,
-        arrival: 0.0,
-        deadline: 1.0,
-        query: Query::new(vec![], vec![]),
-    };
-    let replies = srv.run(vec![bad], vec![]);
-    assert_eq!(replies[0].outcome, Err(ServeError::Malformed));
-    assert_eq!(srv.summary().malformed, 1);
+    let requests = (0u64..)
+        .zip(&queries)
+        .map(|(id, q)| Request {
+            id,
+            arrival: id as f64 * 1e-3,
+            deadline: 1.0,
+            query: q.clone().into(),
+        })
+        .collect();
+    let replies = srv.run(requests, vec![]);
+    assert_eq!(replies.len(), queries.len());
+    for r in &replies {
+        assert_eq!(
+            r.outcome,
+            Err(ServeError::Malformed),
+            "{:?}",
+            queries[r.id as usize]
+        );
+    }
+    assert_eq!(srv.summary().malformed, queries.len() as u64);
     assert_eq!(srv.summary().batches, 0);
 }
 
@@ -256,7 +303,7 @@ fn no_model_and_no_fallback_is_a_typed_unhealthy_error() {
         id: 0,
         arrival: 0.0,
         deadline: 1.0,
-        query: s.pool[0].clone(),
+        query: s.pool[0].clone().into(),
     };
     let replies = srv.run(vec![req], vec![]);
     assert_eq!(replies[0].outcome, Err(ServeError::Unhealthy));

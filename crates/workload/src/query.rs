@@ -38,15 +38,16 @@ impl Query {
     }
 
     /// Whether the query is well-formed against `schema`: non-empty connected
-    /// pattern, predicates on in-pattern attribute columns, ordered bounds.
+    /// pattern of distinct in-range tables, predicates on in-pattern
+    /// attribute columns, ordered bounds. Allocates nothing: the serving
+    /// runtime calls it on every request it admits.
     pub fn is_valid(&self, schema: &Schema) -> bool {
-        if !schema.is_connected(&self.tables) {
-            return false;
-        }
-        let attrs = schema.attributes();
-        self.predicates.iter().all(|p| {
-            self.tables.contains(&p.table) && p.lo <= p.hi && attrs.contains(&(p.table, p.col))
-        })
+        schema.is_connected(&self.tables)
+            && self.predicates.iter().all(|p| {
+                p.lo <= p.hi
+                    && schema.is_attribute(p.table, p.col)
+                    && self.tables.contains(&p.table)
+            })
     }
 
     /// The predicates that apply to one table.
@@ -145,6 +146,28 @@ mod tests {
         assert!(!bad.is_valid(&s));
         // Empty pattern.
         assert!(!Query::new(vec![], vec![]).is_valid(&s));
+        // Out-of-range or repeated tables, singleton or not (the fields are
+        // public, so a query need not come through `Query::new`).
+        for tables in [vec![99], vec![0, 99], vec![0, 0]] {
+            let bad = Query {
+                tables,
+                predicates: vec![],
+            };
+            assert!(!bad.is_valid(&s), "{bad:?}");
+        }
+        // Predicate on an out-of-range table or column.
+        for (table, col) in [(99, 1), (0, 99)] {
+            let bad = Query::new(
+                vec![0],
+                vec![Predicate {
+                    table,
+                    col,
+                    lo: 0,
+                    hi: 5,
+                }],
+            );
+            assert!(!bad.is_valid(&s), "{bad:?}");
+        }
     }
 
     #[test]

@@ -86,10 +86,12 @@
 //! `grad_nodes`, the nodes recording backward passes appended to eager
 //! tapes; value-only passes append none). A second gate requires the
 //! direct children of `attack::accelerated` and of `surrogate::train` to
-//! cover at least 95% of each. Writes `BENCH_trace.json` at the workspace
-//! root and finishes with a disarmed-overhead gate (a disarmed counter
-//! increment must cost about one relaxed atomic load). With a path
-//! argument: parses and renders an existing trace file, no gates.
+//! cover at least 95% of each; the child coverage of `serve::run` and
+//! `serve::batch` is printed too, not gated (the demo serves nothing).
+//! Writes `BENCH_trace.json` at the workspace root and finishes with a
+//! disarmed-overhead gate (a disarmed counter increment must cost about
+//! one relaxed atomic load). With a path argument: parses and renders an
+//! existing trace file, no gates.
 //!
 //! # `race-report` — the concurrency-safety gate
 //!
@@ -357,6 +359,10 @@ fn print_span_group(spans: &[TraceSpan], nodes: &[usize], indent: usize) {
 /// imitation epochs did.
 const COVERED_SPANS: [&str; 2] = ["attack::accelerated", "surrogate::train"];
 const MIN_CHILD_COVERAGE: f64 = 0.95;
+/// Spans whose child coverage is reported but not gated: the serving
+/// runtime's, which the demo campaign never enters (perfbench's serve
+/// segments do), and whose admission work runs outside any child span.
+const REPORTED_SPANS: [&str; 2] = ["serve::run", "serve::batch"];
 
 /// The share of the total time of every span named `name` that their
 /// direct children account for; `None` when no such span was recorded.
@@ -370,7 +376,7 @@ fn child_coverage(t: &TraceData, name: &str) -> Option<f64> {
 }
 
 /// Renders the parsed trace: span tree, counters, histograms, and the
-/// child coverage of [`COVERED_SPANS`].
+/// child coverage of [`COVERED_SPANS`] and [`REPORTED_SPANS`].
 fn print_trace_report(t: &TraceData) {
     println!("spans ({} recorded):", t.spans.len());
     print_span_group(&t.spans, &t.roots, 0);
@@ -391,10 +397,12 @@ fn print_trace_report(t: &TraceData) {
         }
     }
     println!("\nchild coverage:");
-    for name in COVERED_SPANS {
+    let gated = COVERED_SPANS.map(|n| (n, ""));
+    let reported = REPORTED_SPANS.map(|n| (n, "  (reported, not gated)"));
+    for (name, note) in gated.into_iter().chain(reported) {
         match child_coverage(t, name) {
-            Some(c) => println!("  {name:<24} {:>6.2}%", c * 100.0),
-            None => println!("  {name:<24} not recorded"),
+            Some(c) => println!("  {name:<24} {:>6.2}%{note}", c * 100.0),
+            None => println!("  {name:<24} not recorded{note}"),
         }
     }
 }

@@ -3,8 +3,9 @@
 //! keys, empty tables, empty and full-range predicates, decoded attack-shaped
 //! queries at quick scale), encoder round-trips, generator validity, and
 //! optimizer invariants over randomized inputs; the production tapes'
-//! demand-driven gradients against the all-leaves reference; and the matmul
-//! kernel against naive triple loops.
+//! demand-driven gradients against the all-leaves reference; the matmul
+//! kernel against naive triple loops; and query validity and connectivity
+//! against a BFS reference over every evaluation schema.
 
 use pace_ce::{q_error_loss, rows_to_matrix, CeConfig, CeModel, CeModelType, EncodedWorkload};
 use pace_core::attack::build_hypergradient_tape;
@@ -761,5 +762,142 @@ proptest! {
 
         let kernel: Vec<u32> = a.matmul(&b).data().iter().map(|&x| nan_class_bits(x)).collect();
         prop_assert_eq!(kernel, dense);
+    }
+}
+
+/// Every evaluation schema with its connected patterns of up to 4 tables,
+/// built once for the validity properties below.
+fn validity_schemas() -> &'static [(Schema, Vec<Vec<usize>>)] {
+    static SCHEMAS: std::sync::OnceLock<Vec<(Schema, Vec<Vec<usize>>)>> =
+        std::sync::OnceLock::new();
+    SCHEMAS.get_or_init(|| {
+        [
+            DatasetKind::Dmv,
+            DatasetKind::Imdb,
+            DatasetKind::Tpch,
+            DatasetKind::Stats,
+        ]
+        .into_iter()
+        .map(|kind| {
+            let schema = build(kind, Scale::tiny(), 1).schema;
+            let patterns = schema.connected_patterns(4);
+            (schema, patterns)
+        })
+        .collect()
+    })
+}
+
+/// Reference connectivity: a BFS over `Schema::adjacency`. Indexing by an
+/// out-of-range table would panic, so such lists are disconnected here; a
+/// singleton used to be accepted before any range check, which let an
+/// out-of-range table through to the encoder.
+fn reference_is_connected(schema: &Schema, tables: &[usize]) -> bool {
+    if tables.is_empty() || tables.iter().any(|&t| t >= schema.num_tables()) {
+        return false;
+    }
+    let mut in_set = vec![false; schema.num_tables()];
+    for &t in tables {
+        in_set[t] = true;
+    }
+    let adj = schema.adjacency();
+    let mut seen = vec![false; schema.num_tables()];
+    let mut stack = vec![tables[0]];
+    seen[tables[0]] = true;
+    let mut count = 1;
+    while let Some(t) = stack.pop() {
+        for &(n, _) in &adj[t] {
+            if in_set[n] && !seen[n] {
+                seen[n] = true;
+                count += 1;
+                stack.push(n);
+            }
+        }
+    }
+    count == tables.len()
+}
+
+/// Reference validity: connectivity above plus `attributes().contains`.
+fn reference_is_valid(schema: &Schema, q: &Query) -> bool {
+    let attrs = schema.attributes();
+    reference_is_connected(schema, &q.tables)
+        && q.predicates.iter().all(|p| {
+            q.tables.contains(&p.table) && p.lo <= p.hi && attrs.contains(&(p.table, p.col))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `is_valid` and the edge-count `is_connected` agree with the BFS
+    /// reference on valid patterns and on empty, unsorted, repeated and
+    /// out-of-range table lists, with predicates on bad tables, bad
+    /// columns and reversed bounds.
+    #[test]
+    fn is_valid_matches_the_bfs_reference(
+        kind in 0usize..4,
+        pick in any::<usize>(),
+        shape in 0u8..8,
+        extra in any::<usize>(),
+        preds in prop::collection::vec(
+            (0u8..3, any::<usize>(), 0u8..3, -3i64..4, -3i64..4),
+            0..4,
+        ),
+    ) {
+        let (schema, patterns) = &validity_schemas()[kind];
+        let n = schema.num_tables();
+        let mut tables = patterns[pick % patterns.len()].clone();
+        let k = tables.len();
+        match shape {
+            0 => {}
+            1 => tables.reverse(),
+            2 => tables.insert(extra % (k + 1), tables[extra % k]),
+            3 => tables.push(n + extra % 100),
+            4 => tables[extra % k] = n + extra % 3,
+            5 => tables.clear(),
+            // Arbitrary lists, mostly in range, often disconnected.
+            _ => {
+                tables = (0..1 + extra % 4)
+                    .map(|i| (extra >> (8 * i)) % (n + 1))
+                    .collect();
+            }
+        }
+        let predicates = preds
+            .iter()
+            .map(|&(table_shape, r, col_shape, lo, hi)| {
+                let table = match table_shape {
+                    0 if !tables.is_empty() => tables[r % tables.len()],
+                    0 | 1 => r % n,
+                    _ => n + r % 3,
+                };
+                let cols = schema.tables.get(table).map_or(1, |t| t.columns.len());
+                let col = match col_shape {
+                    0 => schema
+                        .attributes()
+                        .into_iter()
+                        .filter(|&(t, _)| t == table)
+                        .map(|(_, c)| c)
+                        .nth(r % cols)
+                        .unwrap_or(r % cols),
+                    1 => r % (cols + 1),
+                    _ => cols + r % 3,
+                };
+                Predicate { table, col, lo, hi }
+            })
+            .collect();
+        let q = Query { tables, predicates };
+        prop_assert_eq!(
+            schema.is_connected(&q.tables),
+            reference_is_connected(schema, &q.tables),
+            "{:?} on {}",
+            q.tables,
+            schema.name
+        );
+        prop_assert_eq!(
+            q.is_valid(schema),
+            reference_is_valid(schema, &q),
+            "{:?} on {}",
+            q,
+            schema.name
+        );
     }
 }
