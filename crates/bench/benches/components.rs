@@ -212,11 +212,11 @@ fn bench_models(c: &mut Criterion) {
         let ln_max = model.ln_max();
         c.bench_function(&format!("models/{}_{name}_train_step", ty.name()), |b| {
             b.iter(|| {
-                black_box(model.loss_and_grads(
-                    &rows_to_matrix(&batch.enc),
-                    &|g, out| q_error_loss(g, out, &batch.ln_card, ln_max),
-                    "bench::train_step",
-                ))
+                black_box(
+                    model.loss_and_grads(&rows_to_matrix(&batch.enc), &|g, out| {
+                        q_error_loss(g, out, &batch.ln_card, ln_max)
+                    }),
+                )
             })
         });
     }

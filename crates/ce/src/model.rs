@@ -1018,8 +1018,7 @@ impl CeModel {
     /// output for the encoded batch `x`, and its gradient with respect to
     /// every parameter, in store order. This is the one place a training
     /// step — [`CeModel::train`], [`CeModel::update`] and the attack's
-    /// surrogate imitation — differentiates the model; `context` names the
-    /// step in the tape audit (`PACE_AUDIT`).
+    /// surrogate imitation — differentiates the model.
     ///
     /// Every type but MSCN runs [`CeModel::forward`] on one tape and
     /// [`Graph::grad_values`]. MSCN first tries `mscn_present_step`, which
@@ -1030,7 +1029,6 @@ impl CeModel {
         &self,
         x: &Matrix,
         loss: &dyn Fn(&mut Graph, Var) -> Var,
-        context: &str,
     ) -> (f32, Vec<Matrix>) {
         if let Arch::Mscn {
             table_mlp,
@@ -1038,8 +1036,7 @@ impl CeModel {
             head,
         } = &self.arch
         {
-            if let Some(step) = self.mscn_present_step(x, loss, context, table_mlp, pred_mlp, head)
-            {
+            if let Some(step) = self.mscn_present_step(x, loss, table_mlp, pred_mlp, head) {
                 return step;
             }
         }
@@ -1048,7 +1045,6 @@ impl CeModel {
         let xv = g.leaf(x.clone());
         let out = self.forward(&mut g, &bind, xv);
         let l = loss(&mut g, out);
-        pace_tensor::analysis::audit_if_enabled(&g, l, bind.vars(), context);
         (g.value(l).as_scalar(), g.grad_values(l, bind.vars()))
     }
 
@@ -1075,7 +1071,6 @@ impl CeModel {
         &self,
         x: &Matrix,
         loss: &dyn Fn(&mut Graph, Var) -> Var,
-        context: &str,
         table_mlp: &Mlp,
         pred_mlp: &Mlp,
         head: &Mlp,
@@ -1144,7 +1139,6 @@ impl CeModel {
         if !finite {
             return None;
         }
-        pace_tensor::analysis::audit_if_enabled(&g, l, bind.vars(), context);
         Some((value, grads))
     }
 
@@ -1156,11 +1150,9 @@ impl CeModel {
         let ln_max = self.ln_max;
         let (value, mut grads) = {
             let _grads = pace_tensor::trace::span("ce::step::grads");
-            self.loss_and_grads(
-                &rows_to_matrix(&batch.enc),
-                &|g, out| q_error_loss(g, out, &batch.ln_card, ln_max),
-                "ce::step_adam",
-            )
+            self.loss_and_grads(&rows_to_matrix(&batch.enc), &|g, out| {
+                q_error_loss(g, out, &batch.ln_card, ln_max)
+            })
         };
         let _adam = pace_tensor::trace::span("ce::step::adam");
         sanitize(&mut grads);
@@ -1273,7 +1265,7 @@ impl CeModel {
             let mut sgd = Sgd::new(lr);
             let mut diverged = false;
             for _ in 0..self.config.update_iters {
-                let (value, mut grads) = self.loss_and_grads(&x, &loss, "ce::update");
+                let (value, mut grads) = self.loss_and_grads(&x, &loss);
                 if !value.is_finite() {
                     diverged = true;
                     break;

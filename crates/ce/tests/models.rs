@@ -1,12 +1,12 @@
 //! Behavioral tests of the six CE model families.
 
-use pace_ce::{CeConfig, CeModel, CeModelType, EncodedWorkload};
+use pace_ce::{q_error_loss, CeConfig, CeModel, CeModelType, EncodedWorkload};
 use pace_data::{build, DatasetKind, Scale};
 use pace_engine::{CardEstimator, Executor};
 use pace_tensor::Graph;
 use pace_workload::{generate_queries, QErrorSummary, QueryEncoder, WorkloadSpec};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn training_data(kind: DatasetKind, n: usize, seed: u64) -> (pace_data::Dataset, EncodedWorkload) {
     let ds = build(kind, Scale::tiny(), seed);
@@ -195,4 +195,68 @@ fn models_distinguish_small_from_large_ranges_after_training() {
         e_full > e_tight,
         "trained model ignores predicate selectivity: full {e_full} <= tight {e_tight}"
     );
+}
+
+/// One encoded row per connected pattern of up to three tables, so the
+/// batch joins every table, each with an ordered range strictly inside
+/// `[0, 1]` on every attribute of its tables.
+fn covering_batch(ds: &pace_data::Dataset, seed: u64) -> EncodedWorkload {
+    let enc = QueryEncoder::new(ds);
+    let t = enc.num_tables();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let enc_rows: Vec<Vec<f32>> = ds
+        .schema
+        .connected_patterns(3)
+        .iter()
+        .map(|pat| {
+            let mut v = enc.encode(&pace_workload::Query::new(pat.clone(), vec![]));
+            for (i, &(tb, _)) in enc.attributes().iter().enumerate() {
+                if pat.contains(&tb) {
+                    let lo = rng.random_range(0.05f32..0.45);
+                    v[t + 2 * i] = lo;
+                    v[t + 2 * i + 1] = lo + rng.random_range(0.1f32..0.5);
+                }
+            }
+            v
+        })
+        .collect();
+    let ln_card = (0..enc_rows.len()).map(|i| (i % 7) as f32 * 1.5).collect();
+    EncodedWorkload {
+        enc: enc_rows,
+        ln_card,
+    }
+}
+
+/// Gradient flow: on a batch that joins every table and constrains every
+/// attribute, the training step's gradient is non-zero somewhere in every
+/// parameter of every model type, so no parameter is silently frozen.
+#[test]
+fn every_parameter_gets_a_gradient() {
+    for kind in [DatasetKind::Stats, DatasetKind::Tpch, DatasetKind::Imdb] {
+        let ds = build(kind, Scale::tiny(), 41);
+        let data = covering_batch(&ds, 42);
+        let tables: std::collections::BTreeSet<usize> = data
+            .enc
+            .iter()
+            .flat_map(|r| (0..ds.schema.num_tables()).filter(|&t| r[t] == 1.0))
+            .collect();
+        assert_eq!(tables.len(), ds.schema.num_tables(), "{kind:?}");
+        for ty in CeModelType::all() {
+            let model = CeModel::new(ty, &ds, CeConfig::quick(), 43);
+            let ln_max = model.ln_max();
+            let (loss, grads) = model
+                .loss_and_grads(&pace_ce::rows_to_matrix(&data.enc), &|g, out| {
+                    q_error_loss(g, out, &data.ln_card, ln_max)
+                });
+            assert!(loss.is_finite(), "{kind:?} {}: loss {loss}", ty.name());
+            for ((id, _), grad) in model.params().iter().zip(&grads) {
+                assert!(
+                    grad.data().iter().any(|&v| v != 0.0),
+                    "{kind:?} {}: {} gets no gradient",
+                    ty.name(),
+                    model.params().name(id)
+                );
+            }
+        }
+    }
 }

@@ -95,11 +95,9 @@ fn tape_step(model: &CeModel, data: &EncodedWorkload) -> (f32, Vec<Matrix>) {
 /// The production step on the same batch.
 fn production_step(model: &CeModel, data: &EncodedWorkload) -> (f32, Vec<Matrix>) {
     let ln_max = model.ln_max();
-    model.loss_and_grads(
-        &pace_ce::rows_to_matrix(&data.enc),
-        &|g, out| q_error_loss(g, out, &data.ln_card, ln_max),
-        "test::train_step",
-    )
+    model.loss_and_grads(&pace_ce::rows_to_matrix(&data.enc), &|g, out| {
+        q_error_loss(g, out, &data.ln_card, ln_max)
+    })
 }
 
 /// The bits of a step's loss and gradients, with every NaN mapped to one

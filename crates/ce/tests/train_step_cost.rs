@@ -37,7 +37,7 @@ fn mscn_step_multiplies_fewer_flops_than_the_full_tape() {
     let (production, p_loss) = flops(&|| {
         let ln_max = model.ln_max();
         model
-            .loss_and_grads(&x, &|g, out| q_error_loss(g, out, &ln, ln_max), "test")
+            .loss_and_grads(&x, &|g, out| q_error_loss(g, out, &ln, ln_max))
             .0
     });
     let (tape, t_loss) = flops(&|| {

@@ -230,7 +230,6 @@ pub fn train_generator_accelerated(
         // (7) hypergradient step on the poisoning objective.
         let test_x = g.leaf(test_mat.clone());
         let objective = poisoning_objective(&mut g, surrogate, &theta1, test_x, test_ln);
-        pace_tensor::analysis::audit_if_enabled(&g, objective, bind.vars(), "attack::accelerated");
         let obj_value = g.value(objective).as_scalar();
         curve.push(obj_value);
         drop(unroll_span);

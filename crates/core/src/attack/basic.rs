@@ -121,7 +121,6 @@ pub fn train_generator_basic(
             );
             let test_x = g.leaf(test_mat.clone());
             let objective = poisoning_objective(&mut g, surrogate, &theta_k, test_x, test_ln);
-            pace_tensor::analysis::audit_if_enabled(&g, objective, bind.vars(), "attack::basic");
             let obj_value = g.value(objective).as_scalar();
             curve.push(obj_value);
             if obj_value > best {

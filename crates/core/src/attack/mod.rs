@@ -247,3 +247,76 @@ pub fn build_hypergradient_tape(
 pub use accelerated::train_generator_accelerated;
 pub use baselines::{greedy_poison, loss_based_selection, random_poison, train_lbg};
 pub use basic::train_generator_basic;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pace_ce::{CeConfig, CeModelType};
+    use pace_data::{build, DatasetKind, Scale};
+    use pace_workload::QueryEncoder;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The generator's hypergradient tape as the attack loops build it —
+    /// `forward_bounds`, the straight-through re-encoding, `K` unrolled
+    /// updates and the poisoning objective — against every surrogate type.
+    /// Every `G_l` and `G_r` parameter must get a gradient somewhere. Every
+    /// `G_j` parameter must get exactly none: `G_j` only picks the join
+    /// matrix, a constant on this tape, and is trained by Eq. 8's join loss.
+    #[test]
+    fn hypergradient_reaches_the_bound_generators_and_not_the_join_generator() {
+        let ds = build(DatasetKind::Tpch, Scale::tiny(), 21);
+        let enc = QueryEncoder::new(&ds);
+        let cfg = AttackConfig::quick();
+        let gen = PoisonGenerator::new(
+            enc.clone(),
+            ds.schema.connected_patterns(3),
+            cfg.generator,
+            22,
+        );
+        let mut rng = StdRng::seed_from_u64(23);
+        let (_, test_enc) = gen.generate(&mut rng, 16);
+        let test_ln: Vec<f32> = (0..test_enc.len()).map(|i| (i % 5) as f32).collect();
+        for ty in CeModelType::all() {
+            let surrogate = CeModel::new(ty, &ds, CeConfig::quick(), 24);
+            let batch = gen.sample_joins(&mut rng, 16);
+            let mut g = Graph::new();
+            let bind = gen.params().bind(&mut g);
+            let x = gen.forward_bounds(&mut g, &bind, &batch);
+            let encs: Vec<Vec<f32>> = (0..16)
+                .map(|r| enc.encode(&enc.decode(g.value(x).row_slice(r))))
+                .collect();
+            let ln: Vec<f32> = (0..encs.len()).map(|i| (i % 7) as f32 * 1.5).collect();
+            let x_q = straight_through(&mut g, x, &encs);
+            let theta0 = surrogate.params().bind(&mut g);
+            let theta_k = unroll_virtual_updates(
+                &mut g,
+                &surrogate,
+                theta0,
+                x_q,
+                &ln,
+                cfg.unroll_steps,
+                cfg.unroll_lr,
+            );
+            let test_x = g.leaf(pace_ce::rows_to_matrix(&test_enc));
+            let objective = poisoning_objective(&mut g, &surrogate, &theta_k, test_x, &test_ln);
+            let grads = g.grad_values(objective, bind.vars());
+            let mut join_params = 0;
+            for ((id, _), grad) in gen.params().iter().zip(&grads) {
+                let name = gen.params().name(id);
+                let nonzero = grad.data().iter().any(|&v| v != 0.0);
+                if name.starts_with("gj.") {
+                    join_params += 1;
+                    assert!(!nonzero, "{}: {name} gets a hypergradient", ty.name());
+                } else {
+                    assert!(
+                        (name.starts_with("gl.") || name.starts_with("gr.")) && nonzero,
+                        "{}: {name} gets no hypergradient",
+                        ty.name()
+                    );
+                }
+            }
+            assert!(join_params > 0, "no G_j parameters");
+        }
+    }
+}

@@ -519,11 +519,8 @@ pub fn train_surrogate(
                     }
                 }
             };
-            let (loss_value, mut grads) = surrogate.loss_and_grads(
-                &pace_ce::rows_to_matrix(&rows),
-                &loss,
-                "surrogate::imitate",
-            );
+            let (loss_value, mut grads) =
+                surrogate.loss_and_grads(&pace_ce::rows_to_matrix(&rows), &loss);
             sanitize(&mut grads);
             clip_global_norm(&mut grads, surrogate.config().clip_norm);
             // Fault hook after sanitize/clip, so an injected NaN reaches the

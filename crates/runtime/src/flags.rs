@@ -1,16 +1,15 @@
 //! The shared environment-flag grammar for every `PACE_*` runtime switch.
 //!
-//! All instrumentation switches in the workspace — the tape auditor
-//! (`PACE_AUDIT`), the snapshot finiteness gate (`PACE_FINITE`), and the
-//! pool's shadow write-set checker (`PACE_RACE`, [`crate::race`]) — parse
-//! one grammar:
+//! The workspace's on/off switches — the snapshot finiteness gate
+//! (`PACE_FINITE`) and the pool's shadow write-set checker (`PACE_RACE`,
+//! [`crate::race`]) — parse one grammar:
 //!
 //! * `0` (or unset, or anything unrecognized) — off;
-//! * `1` / `true` / `on` — enabled: findings are *reported* (a dirty audit
-//!   or an overlapping write set prints to stderr, execution continues);
+//! * `1` / `true` / `on` — enabled: findings are *reported* (an
+//!   overlapping write set prints to stderr, execution continues);
 //! * `strict` — enabled, and findings are *fatal*: the check panics at its
 //!   choke point, so CI and experiment runs cannot silently proceed on a
-//!   corrupted tape or a racy region.
+//!   racy region.
 //!
 //! [`EnvSpec`] is the string-valued companion for switches that carry a
 //! *spec* rather than a mode: the `PACE_FAULTS` fault matrix and the

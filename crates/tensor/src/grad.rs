@@ -95,10 +95,10 @@ pub(crate) fn op_inputs(op: &Op) -> Operands<'_> {
         | Op::MeanAll(a)
         | Op::SumRows(a)
         | Op::MeanRows(a)
-        | Op::RepeatRows(a, _)
+        | Op::RepeatRows(a)
         | Op::SumCols(a)
-        | Op::RepeatCols(a, _)
-        | Op::BroadcastScalar(a, _, _)
+        | Op::RepeatCols(a)
+        | Op::BroadcastScalar(a)
         | Op::SliceCols(a, _, _)
         | Op::SliceRows(a, _, _)
         | Op::GatherRows(a, _)
@@ -407,11 +407,11 @@ impl Graph {
                 let ga = self.mul_scalar(rep, 1.0 / n as f32);
                 self.add_grad(grads, a, ga);
             }
-            Op::RepeatRows(a, _) => {
+            Op::RepeatRows(a) => {
                 let ga = self.sum_rows(g);
                 self.add_grad(grads, a, ga);
             }
-            Op::BroadcastScalar(a, _, _) => {
+            Op::BroadcastScalar(a) => {
                 let ga = self.sum_all(g);
                 self.add_grad(grads, a, ga);
             }
@@ -455,7 +455,7 @@ impl Graph {
                 let ga = self.repeat_cols(g, d);
                 self.add_grad(grads, a, ga);
             }
-            Op::RepeatCols(a, _) => {
+            Op::RepeatCols(a) => {
                 let ga = self.sum_cols(g);
                 self.add_grad(grads, a, ga);
             }
@@ -805,8 +805,8 @@ impl Graph {
                 let n = self.shape(a).0;
                 accumulate(grads, a, g.mul_scalar(1.0 / n as f32).repeat_rows(n));
             }
-            Op::RepeatRows(a, _) => accumulate(grads, a, g.sum_rows()),
-            Op::BroadcastScalar(a, _, _) => accumulate(grads, a, Matrix::scalar(g.sum())),
+            Op::RepeatRows(a) => accumulate(grads, a, g.sum_rows()),
+            Op::BroadcastScalar(a) => accumulate(grads, a, Matrix::scalar(g.sum())),
             Op::AddRow(a, row) => {
                 if need[row.0] {
                     let gr = g.sum_rows();
@@ -837,7 +837,7 @@ impl Graph {
                 }
             }
             Op::SumCols(a) => accumulate(grads, a, g.repeat_cols(self.shape(a).1)),
-            Op::RepeatCols(a, _) => accumulate(grads, a, g.sum_cols()),
+            Op::RepeatCols(a) => accumulate(grads, a, g.sum_cols()),
             Op::ConcatCols(ref parts) => {
                 let mut start = 0;
                 for &p in parts {

@@ -16,18 +16,6 @@ use crate::matrix::Matrix;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Var(pub(crate) usize);
 
-impl Var {
-    /// Position of this node on its tape (nodes are appended in creation
-    /// order, so indices double as topological order).
-    pub fn index(self) -> usize {
-        self.0
-    }
-
-    pub(crate) fn from_index(i: usize) -> Self {
-        Var(i)
-    }
-}
-
 /// The primitive operations of the graph.
 ///
 /// Every op's VJP is expressible in terms of other ops in this enum, which is
@@ -59,10 +47,10 @@ pub(crate) enum Op {
     MeanAll(Var),
     SumRows(Var),
     MeanRows(Var),
-    /// Stacks a `1×d` row the recorded number of times into `n×d`.
-    RepeatRows(Var, usize),
-    /// Broadcasts a `1×1` scalar to the recorded `r×c` shape.
-    BroadcastScalar(Var, usize, usize),
+    /// Stacks a `1×d` row into `n×d`.
+    RepeatRows(Var),
+    /// Broadcasts a `1×1` scalar to an `r×c` shape.
+    BroadcastScalar(Var),
     /// `n×d` plus a `1×d` row broadcast over every row (bias add).
     AddRow(Var, Var),
     /// `n×d` times a `1×d` row broadcast over every row.
@@ -71,8 +59,8 @@ pub(crate) enum Op {
     MulCol(Var, Var),
     /// Row-wise sum: `n×d → n×1`.
     SumCols(Var),
-    /// Stacks an `n×1` column the recorded number of times into `n×d`.
-    RepeatCols(Var, usize),
+    /// Stacks an `n×1` column into `n×d`.
+    RepeatCols(Var),
     ConcatCols(Vec<Var>),
     ConcatRows(Vec<Var>),
     SliceCols(Var, usize, usize),
@@ -201,18 +189,10 @@ impl Graph {
     }
 
     /// The first node whose value contains a NaN or ±Inf, with the producing
-    /// op's name — `None` while every value on the tape is finite. Surfaced
-    /// by [`crate::analysis::audit`] so non-finite losses are attributable.
+    /// op's name — `None` while every value on the tape is finite, so a
+    /// non-finite loss can be traced to the op that produced it.
     pub fn first_nonfinite(&self) -> Option<(Var, &'static str)> {
         self.first_nonfinite
-    }
-
-    /// Appends a node without executing its op — the test hook that lets the
-    /// analysis suite seed tapes whose recorded values *disagree* with their
-    /// op semantics. Never used by the real op constructors.
-    #[cfg(test)]
-    pub(crate) fn push_raw(&mut self, op: Op, value: Matrix) -> Var {
-        self.push(op, value)
     }
 
     /// Value of a node (eagerly computed at creation time).
@@ -400,13 +380,13 @@ impl Graph {
     /// Stacks a `1×d` row `n` times into `n×d`.
     pub fn repeat_rows(&mut self, a: Var, n: usize) -> Var {
         let v = self.nodes[a.0].value.repeat_rows(n);
-        self.push(Op::RepeatRows(a, n), v)
+        self.push(Op::RepeatRows(a), v)
     }
 
     /// Broadcasts a `1×1` scalar node to an `r×c` matrix.
     pub fn broadcast_scalar(&mut self, a: Var, r: usize, c: usize) -> Var {
         let s = self.nodes[a.0].value.as_scalar();
-        self.push(Op::BroadcastScalar(a, r, c), Matrix::full(r, c, s))
+        self.push(Op::BroadcastScalar(a), Matrix::full(r, c, s))
     }
 
     /// Adds a `1×d` row vector to every row of an `n×d` matrix.
@@ -452,7 +432,7 @@ impl Graph {
     /// Stacks an `n×1` column `d` times into `n×d`.
     pub fn repeat_cols(&mut self, a: Var, d: usize) -> Var {
         let v = self.nodes[a.0].value.repeat_cols(d);
-        self.push(Op::RepeatCols(a, d), v)
+        self.push(Op::RepeatCols(a), v)
     }
 
     // ---- structural ----------------------------------------------------------

@@ -14,10 +14,6 @@
 //!   that only exist inside a graph;
 //! * [`optim`] — SGD and Adam, plus gradient clipping;
 //! * [`check`] — finite-difference gradient checkers used by test suites;
-//! * [`analysis`] — the tape auditor (`PACE_AUDIT`): shape inference,
-//!   numerical-hazard scan, zero-gradient detection, double-backward closure;
-//! * [`dataflow`] — the static FLOP/byte cost model of a tape, computed
-//!   from operand shapes alone;
 //! * [`flags`] — the shared `0/1/strict` environment-flag grammar;
 //! * [`fault`] — deterministic, seeded fault injection (`PACE_FAULTS`) for
 //!   chaos-testing the campaign runtime's recovery paths;
@@ -62,9 +58,7 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod check;
-pub mod dataflow;
 pub mod fault;
 pub mod flags;
 mod grad;

@@ -342,6 +342,7 @@ fn second_order_every_op() {
     // against finite differences. Piecewise-linear ops (relu, abs, max/min,
     // slicing) have zero curvature away from their kinks — the check then
     // verifies the second-order graph builds and agrees that it is zero.
+    // `xtask lint` requires this body to build every non-`Leaf` `Op`.
     type F = fn(&mut Graph, Var) -> Var;
     fn sq_sum(g: &mut Graph, y: Var) -> Var {
         let y2 = g.mul(y, y);

@@ -17,7 +17,7 @@
 //!
 //! # The `PACE_TRACE` flag
 //!
-//! The crate joins the `PACE_AUDIT`/`PACE_FAULTS` env-flag
+//! The crate joins the `PACE_FINITE`/`PACE_FAULTS` env-flag
 //! family (`pace_tensor::flags`): unset, empty, or `0` means off; `1`,
 //! `true`, or `on` enables tracing to [`DEFAULT_TRACE_PATH`] in the current
 //! directory; any other value is a file path to write to. The variable is

@@ -8,11 +8,14 @@
 //!
 //! 1. **`Op` coverage** — every variant of the tape's `Op` enum
 //!    (`crates/tensor/src/graph.rs`) must be mentioned in the VJP dispatch
-//!    (`grad.rs`), the auditor (`analysis.rs`), and the static cost model
-//!    (`dataflow.rs`). A variant added to the enum but forgotten in any of
-//!    them would otherwise surface as a runtime panic (grad) or a silent
-//!    analysis gap; wildcard match arms make the compiler's exhaustiveness
-//!    check insufficient.
+//!    (`grad.rs`), and every variant but `Leaf` must be built by the body
+//!    of `second_order_every_op` (`crates/tensor/tests/gradcheck.rs`), which
+//!    differentiates each op twice against finite differences — the Eq. 10
+//!    hypergradient needs every VJP to close under double backward. A
+//!    variant added to the enum but forgotten in either would otherwise
+//!    surface as a runtime panic (grad) or an untested second-order rule;
+//!    wildcard match arms make the compiler's exhaustiveness check
+//!    insufficient.
 //! 2. **No `unwrap()` in library code** — panics in the library crates must
 //!    carry context (`expect`) or be handled; bare `.unwrap()` is allowed
 //!    only under `#[cfg(test)]`, in `tests/`, benches, and this xtask.
@@ -707,28 +710,32 @@ fn read(root: &Path, rel: &str) -> String {
         .unwrap_or_else(|e| panic!("xtask lint: cannot read {}: {e}", path.display()))
 }
 
-/// Extracts the variant names of `enum Op` from the graph source.
-fn op_variants(graph_src: &str) -> Vec<String> {
-    let start = graph_src
-        .find("enum Op {")
-        .expect("crates/tensor/src/graph.rs declares `enum Op {`");
-    let body_start = start + "enum Op {".len();
+/// The text between the `{` that ends `header` in `src` and its matching
+/// `}`.
+fn braced_body<'a>(src: &'a str, header: &str, what: &str) -> &'a str {
+    let start = src
+        .find(header)
+        .unwrap_or_else(|| panic!("{what} declares `{header}`"))
+        + header.len();
     let mut depth = 1usize;
-    let mut end = body_start;
-    for (i, ch) in graph_src[body_start..].char_indices() {
+    for (i, ch) in src[start..].char_indices() {
         match ch {
             '{' => depth += 1,
             '}' => {
                 depth -= 1;
                 if depth == 0 {
-                    end = body_start + i;
-                    break;
+                    return &src[start..start + i];
                 }
             }
             _ => {}
         }
     }
-    let body = &graph_src[body_start..end];
+    &src[start..]
+}
+
+/// Extracts the variant names of `enum Op` from the graph source.
+fn op_variants(graph_src: &str) -> Vec<String> {
+    let body = braced_body(graph_src, "enum Op {", "crates/tensor/src/graph.rs");
     let mut variants = Vec::new();
     // Variant declarations sit at brace depth 0 within the enum body, at the
     // start of a line (after doc comments), shaped `Name` or `Name(...),`.
@@ -767,15 +774,41 @@ fn op_variants(graph_src: &str) -> Vec<String> {
     variants
 }
 
-/// Files that must mention every `Op` variant: the VJP dispatch, the
-/// auditor's shape/closure tables, and the static cost model (`node_cost`
-/// must price every op explicitly — a wildcard arm there would silently
-/// charge a new op some other op's cost).
-const OP_COVERAGE_FILES: [&str; 3] = [
-    "crates/tensor/src/grad.rs",
-    "crates/tensor/src/analysis.rs",
-    "crates/tensor/src/dataflow.rs",
-];
+/// The VJP dispatch, which must mention every `Op` variant.
+const VJP_FILE: &str = "crates/tensor/src/grad.rs";
+
+/// The test whose body must build every non-`Leaf` `Op` variant.
+const SECOND_ORDER_FILE: &str = "crates/tensor/tests/gradcheck.rs";
+
+/// The non-`Leaf` variants whose constructor the body of
+/// `second_order_every_op` in `gradcheck_src` never calls. A constructor is
+/// the variant's snake_case name (`RepeatCols` → `.repeat_cols(`); names
+/// are compared lowercased without underscores, so `MatMul` is `.matmul(`.
+fn second_order_gaps(variants: &[String], gradcheck_src: &str) -> Vec<String> {
+    let body = braced_body(
+        gradcheck_src,
+        "fn second_order_every_op() {",
+        SECOND_ORDER_FILE,
+    );
+    let called: std::collections::HashSet<String> = body
+        .split('.')
+        .skip(1)
+        .filter_map(|rest| {
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect();
+            rest[name.len()..]
+                .starts_with('(')
+                .then(|| name.replace('_', ""))
+        })
+        .collect();
+    variants
+        .iter()
+        .filter(|v| *v != "Leaf" && !called.contains(&v.to_ascii_lowercase()))
+        .cloned()
+        .collect()
+}
 
 fn check_op_coverage(root: &Path, failures: &mut Vec<String>) {
     let graph_src = read(root, "crates/tensor/src/graph.rs");
@@ -788,19 +821,22 @@ fn check_op_coverage(root: &Path, failures: &mut Vec<String>) {
         ));
         return;
     }
-    for rel in OP_COVERAGE_FILES {
-        let src = read(root, rel);
-        for v in &variants {
-            let mentioned = src.contains(&format!("Op::{v}(")) // pattern with operands
-                || src.contains(&format!("Op::{v} ")) // bare pattern in match arm
-                || src.contains(&format!("Op::{v},"))
-                || src.contains(&format!("Op::{v} =>"));
-            if !mentioned {
-                failures.push(format!(
-                    "{rel}: Op::{v} is not handled (no `Op::{v}` mention)"
-                ));
-            }
+    let src = read(root, VJP_FILE);
+    for v in &variants {
+        let mentioned = src.contains(&format!("Op::{v}(")) // pattern with operands
+            || src.contains(&format!("Op::{v} ")) // bare pattern in match arm
+            || src.contains(&format!("Op::{v},"))
+            || src.contains(&format!("Op::{v} =>"));
+        if !mentioned {
+            failures.push(format!(
+                "{VJP_FILE}: Op::{v} is not handled (no `Op::{v}` mention)"
+            ));
         }
+    }
+    for v in second_order_gaps(&variants, &read(root, SECOND_ORDER_FILE)) {
+        failures.push(format!(
+            "{SECOND_ORDER_FILE}: second_order_every_op never builds Op::{v}"
+        ));
     }
 }
 
@@ -3244,9 +3280,14 @@ mod tests {
     }
 
     #[test]
-    fn op_coverage_spans_the_analysis_stack() {
-        // The coverage list must include the cost model so a future Op
-        // variant cannot silently skip it.
-        assert!(OP_COVERAGE_FILES.contains(&"crates/tensor/src/dataflow.rs"));
+    fn op_coverage_requires_a_second_order_case_per_op() {
+        let variants: Vec<String> = ["Leaf", "MatMul", "RepeatCols", "SumAll"]
+            .map(String::from)
+            .to_vec();
+        let src = "fn second_order_every_op() {\n    let y = g.matmul(x, w);\n    \
+                   let s = g.sum_all(y);\n}\nfn later() { g.repeat_cols(x, 3); }\n";
+        // `Leaf` is exempt, `MatMul` matches `.matmul(`, and a call outside
+        // the test's body does not count.
+        assert_eq!(second_order_gaps(&variants, src), ["RepeatCols"]);
     }
 }

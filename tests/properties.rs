@@ -644,11 +644,10 @@ fn production_gradients_match_all_leaves_reference() {
         // The production step, which MSCN runs over only the set elements
         // the batch has, against the same all-leaves reference.
         let ln_max = model.ln_max();
-        let (value, grads) = model.loss_and_grads(
-            &rows_to_matrix(&data.enc[poison.clone()]),
-            &|g, out| q_error_loss(g, out, &data.ln_card[poison.clone()], ln_max),
-            "test::production_step",
-        );
+        let (value, grads) = model
+            .loss_and_grads(&rows_to_matrix(&data.enc[poison.clone()]), &|g, out| {
+                q_error_loss(g, out, &data.ln_card[poison.clone()], ln_max)
+            });
         let mut got = vec![vec![value.to_bits()]];
         got.extend(
             grads
