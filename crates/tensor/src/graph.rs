@@ -493,28 +493,6 @@ impl Graph {
     pub(crate) fn op(&self, v: Var) -> &Op {
         &self.nodes[v.0].op
     }
-
-    /// Renders the tape as Graphviz DOT — a debugging aid for inspecting the
-    /// structure the attack's unrolled updates build. Large graphs render
-    /// slowly in viewers; prefer dumping small repros.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out =
-            String::from("digraph tape {\n  rankdir=LR;\n  node [shape=box, fontsize=9];\n");
-        for (i, node) in self.nodes.iter().enumerate() {
-            let (r, c) = node.value.shape();
-            let label = format!("{:?}", node.op);
-            let op_name = label.split(['(', ' ']).next().unwrap_or("?");
-            let _ = writeln!(out, "  n{i} [label=\"{i}: {op_name} {r}x{c}\"];");
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            for inp in crate::grad::op_inputs(&node.op) {
-                let _ = writeln!(out, "  n{} -> n{i};", inp.0);
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -566,25 +544,5 @@ mod tests {
         let m = g.broadcast_scalar(s, 2, 3);
         assert_eq!(g.shape(m), (2, 3));
         assert!(g.value(m).data().iter().all(|&x| x == 2.5));
-    }
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-
-    #[test]
-    fn to_dot_emits_every_node_and_edge() {
-        let mut g = Graph::new();
-        let a = g.leaf(Matrix::row(&[1.0, 2.0]));
-        let b = g.sigmoid(a);
-        let c = g.mul(a, b);
-        let _ = g.sum_all(c);
-        let dot = g.to_dot();
-        assert!(dot.starts_with("digraph tape {"));
-        assert!(dot.contains("n0 [label=\"0: Leaf 1x2\"]"));
-        assert!(dot.contains("n0 -> n1;"));
-        assert!(dot.contains("n1 -> n2;"));
-        assert_eq!(dot.matches("->").count(), 4); // sigmoid + mul(2) + sum
     }
 }

@@ -2,6 +2,13 @@
 //! `cargo run -p xtask --
 //! <lint|trace-report|chaos|determinism|race-report|serve-report|defense-report>`.
 //!
+//! # Shared parts
+//!
+//! Every bit-identity check runs through one harness, [`bit_identity`],
+//! which prints each surface's digest; the campaign gates share one
+//! [`Demo`], the serving gates one [`Fixture`] and [`reply_contract`], and
+//! every `BENCH_*.json` is written by [`Json`].
+//!
 //! # `lint` — source-level checks the compiler cannot express
 //!
 //! Run in CI next to `cargo clippy`:
@@ -52,36 +59,41 @@
 //!
 //! # `determinism` — the `PACE_THREADS` bit-identity gate
 //!
-//! Exercises two surfaces in-process at several thread counts and requires
-//! byte-identical results: batch exact counting (`Executor::count_batch`,
-//! the pool's fan-out) and a briefly trained CE model's full parameter
-//! vector. CI runs it under
-//! `PACE_THREADS=1` and `PACE_THREADS=4` and additionally diffs the two
-//! process outputs.
+//! Exercises two surfaces in-process at 1, 2, 4 and 8 threads, under the
+//! schedule `PACE_SCHED` selects, and requires bit-identical results: batch
+//! exact counting (`Executor::count_batch`, the pool's fan-out) and a
+//! briefly trained CE model's full parameter vector. It prints each
+//! surface's digest; CI runs it under `PACE_THREADS=1`, `PACE_THREADS=4`
+//! and `PACE_SCHED=7` and diffs the process outputs byte for byte.
 //!
 //! # `chaos` — the fault-injection matrix
 //!
-//! Runs the `chaos_campaign` binary (a deterministic quick TPC-H PACE
-//! campaign) under each `PACE_FAULTS` spec of the matrix and checks the
-//! recovery contract: absorbed faults (timeout/error/corrupt retries,
-//! crash + resume) must reproduce the fault-free run **bit-identically**;
-//! NaN-gradient faults must still complete with finite results; a hard-down
-//! oracle must fail with a typed error, not a panic. The serving fault
-//! kinds (`overload`, `slow_consumer`, `bad_update`) run in-process
-//! against the [`pace_serve`] runtime: each scenario executes twice under
-//! the same spec and must be bit-identical, every rejection must be typed,
-//! and a corrupted hot-swap must be rejected with live traffic unharmed.
-//! A final served-campaign scenario routes a whole poison campaign through
-//! the hot-swap gate with a corrupted wave-1 candidate and admission
-//! overload bursts armed at once: the corrupted wave must be rejected and
-//! rolled back, backpressure must be observed, and the campaign — swap
-//! ledger, reply log, and attack measurements — must be bit-identical
-//! across two runs. See `pace_tensor::fault` for the spec grammar.
+//! Runs the demo campaign as a child process (`xtask chaos-campaign
+//! <manifest>`, a hidden subcommand that prints a timing-free report ending
+//! in the campaign fingerprint) under each `PACE_FAULTS` spec of the matrix
+//! and checks the recovery contract: absorbed faults (timeout/error/corrupt
+//! retries, crash + resume) must reproduce the fault-free run
+//! **bit-identically**; NaN-gradient faults must still complete with finite
+//! results; a hard-down oracle must fail with a typed error, not a panic.
+//! The child exits 0 on a finished campaign, 2 on a typed failure, 3 on
+//! non-finite q-errors after recovery, and
+//! [`pace_tensor::fault::CRASH_EXIT_CODE`] when an injected crash killed it
+//! (rerun with the same manifest to resume). The serving fault kinds
+//! (`overload`, `slow_consumer`, `bad_update`) run in-process against the
+//! [`pace_serve`] runtime: each scenario executes twice under the same spec
+//! and must be bit-identical, every rejection must be typed, and a
+//! corrupted hot-swap must be rejected with live traffic unharmed. A final
+//! served-campaign scenario routes a whole poison campaign through the
+//! hot-swap gate with a corrupted wave-1 candidate and admission overload
+//! bursts armed at once: the corrupted wave must be rejected and rolled
+//! back, backpressure must be observed, and the campaign — swap ledger,
+//! reply log, and attack measurements — must be bit-identical across two
+//! runs. See `pace_tensor::fault` for the spec grammar.
 //!
 //! # `trace-report` — dynamic observability of a real campaign
 //!
-//! With no argument: runs the deterministic quick TPC-H demo campaign (the
-//! same recipe as `chaos_campaign`) with `pace_tensor::trace` armed, then
+//! With no argument: runs the demo campaign (the same recipe as
+//! `chaos-campaign`) with `pace_tensor::trace` armed, then
 //! renders the captured trace — a span tree with per-phase totals (gated:
 //! the top-level phases must sum to within 1% of the demo's root span,
 //! which like every span leaves out the time spent writing span lines)
@@ -167,12 +179,13 @@ use pace_serve::{
     ServeSummary, Server, SnapshotStore, Source, SwapError, SwapEvent, SwapOutcome,
 };
 use pace_tensor::fault::{self, FaultSpec};
+use pace_tensor::pool::{self, race};
 use pace_tensor::trace;
-use pace_tensor::Matrix;
 use pace_workload::{generate_queries, QErrorSummary, Query, QueryEncoder, Workload, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::OnceLock;
@@ -181,13 +194,15 @@ use std::time::Instant;
 fn main() -> ExitCode {
     let mode = std::env::args().nth(1).unwrap_or_default();
     match mode.as_str() {
-        "lint" => lint(),
-        "trace-report" => trace_report(),
-        "chaos" => chaos(),
-        "determinism" => determinism(),
-        "race-report" => race_report(),
-        "serve-report" => serve_report(),
-        "defense-report" => defense_report(),
+        "lint" => run_gate("lint", lint),
+        "trace-report" => run_gate("trace-report", trace_report),
+        "chaos" => run_gate("chaos", chaos),
+        // Hidden: the child process `chaos` runs under each fault spec.
+        "chaos-campaign" => chaos_campaign(),
+        "determinism" => run_gate("determinism", determinism),
+        "race-report" => run_gate("race-report", race_report),
+        "serve-report" => run_gate("serve-report", serve_report),
+        "defense-report" => run_gate("defense-report", defense_report),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- \
@@ -198,25 +213,397 @@ fn main() -> ExitCode {
     }
 }
 
-fn lint() -> ExitCode {
-    let root = workspace_root();
+/// A gate pushes what it finds wrong to `failures` and returns the line to
+/// print when nothing is, or a fatal error that stopped it early.
+type Gate = fn(&mut Vec<String>) -> Result<String, String>;
+
+/// Runs `gate`, then prints its OK line, or every failure and their count
+/// and exits 1.
+fn run_gate(name: &str, gate: Gate) -> ExitCode {
     let mut failures = Vec::new();
-    check_op_coverage(&root, &mut failures);
-    check_no_unwrap(&root, &mut failures);
-    check_no_probe_panics(&root, &mut failures);
-    check_no_raw_threads(&root, &mut failures);
-    check_no_nan_sort(&root, &mut failures);
-    check_pool_call_discipline(&root, &mut failures);
-    if failures.is_empty() {
-        println!("xtask lint: OK");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("xtask lint: {f}");
+    match gate(&mut failures) {
+        Ok(ok) if failures.is_empty() => {
+            println!("{ok}");
+            return ExitCode::SUCCESS;
         }
-        eprintln!("xtask lint: {} failure(s)", failures.len());
-        ExitCode::FAILURE
+        Ok(_) => {}
+        Err(fatal) => failures.push(fatal),
     }
+    for f in &failures {
+        eprintln!("xtask {name}: {f}");
+    }
+    eprintln!("xtask {name}: {} failure(s)", failures.len());
+    ExitCode::FAILURE
+}
+
+// ---- the bit-identity harness -----------------------------------------------
+
+/// One cell of a bit-identity matrix: the pool width and the adversarial
+/// schedule (`None` is the natural one) a surface runs under.
+#[derive(Clone, Copy)]
+struct Cell {
+    sched: Option<u64>,
+    threads: usize,
+}
+
+impl std::fmt::Display for Cell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "PACE_THREADS={}", self.threads)?;
+        match self.sched {
+            Some(seed) => write!(f, " PACE_SCHED={seed}"),
+            None => Ok(()),
+        }
+    }
+}
+
+/// One cell per entry of `threads`, all under the schedule `sched`.
+fn cells(sched: Option<u64>, threads: &[usize]) -> Vec<Cell> {
+    threads
+        .iter()
+        .map(|&threads| Cell { sched, threads })
+        .collect()
+}
+
+/// The bit-identity harness: runs `image` once per cell under that cell's
+/// pool width and schedule, and compares every cell's words with the first
+/// cell's, the baseline. A cell that fails or diverges is pushed to
+/// `failures` with the first differing word; a failing baseline stops the
+/// run. Prints and returns the baseline's FNV digest. `image` gets the
+/// cell's index, so runs that write files can keep them apart.
+fn bit_identity(
+    surface: &str,
+    cells: &[Cell],
+    failures: &mut Vec<String>,
+    mut image: impl FnMut(usize) -> Result<Vec<u64>, String>,
+) -> Option<u64> {
+    let entry = (race::sched_seed(), pool::threads());
+    let mut run = |i: usize| {
+        race::set_sched(cells[i].sched);
+        pool::set_threads(cells[i].threads);
+        image(i)
+    };
+    let digest = match run(0) {
+        Err(e) => {
+            failures.push(format!(
+                "{surface}: the baseline ({}) failed: {e}",
+                cells[0]
+            ));
+            None
+        }
+        Ok(base) => {
+            for (i, cell) in cells.iter().enumerate().skip(1) {
+                match run(i) {
+                    Err(e) => failures.push(format!("{surface}: cell {i} ({cell}) failed: {e}")),
+                    Ok(words) => {
+                        if let Some(at) = first_difference(&base, &words) {
+                            failures.push(format!(
+                                "{surface}: cell {i} ({cell}) diverges from the baseline ({}) \
+                                 at {at}",
+                                cells[0]
+                            ));
+                        }
+                    }
+                }
+            }
+            let digest = fnv(&base);
+            println!(
+                "{surface}: digest {digest:016x} over {} words, {} cells compared",
+                base.len(),
+                cells.len()
+            );
+            Some(digest)
+        }
+    };
+    race::set_sched(entry.0);
+    pool::set_threads(entry.1);
+    digest
+}
+
+/// The first word at which `b` differs from `a`, or `None` when equal.
+fn first_difference(a: &[u64], b: &[u64]) -> Option<String> {
+    match a.iter().zip(b).position(|(x, y)| x != y) {
+        Some(i) => Some(format!("word {i} ({:#018x} vs {:#018x})", a[i], b[i])),
+        None if a.len() != b.len() => Some(format!(
+            "word {} (length {} vs {})",
+            a.len().min(b.len()),
+            a.len(),
+            b.len()
+        )),
+        None => None,
+    }
+}
+
+/// FNV-1a over the little-endian bytes of `words`: the digest the harness
+/// prints, and the campaign fingerprint `chaos-campaign` prints.
+fn fnv(words: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Appends the `Debug` text of a typed error or verdict (whose floats print
+/// round-trip exact) as a length word and the text's bytes, eight a word.
+fn push_debug(words: &mut Vec<u64>, v: &impl std::fmt::Debug) {
+    let text = format!("{v:?}");
+    words.push(text.len() as u64);
+    words.extend(text.as_bytes().chunks(8).map(|c| {
+        let mut b = [0u8; 8];
+        b[..c.len()].copy_from_slice(c);
+        u64::from_le_bytes(b)
+    }));
+}
+
+/// The image of a reply sequence: each request's id and arrival, then its
+/// estimate, source and completion time, or its typed rejection.
+fn reply_words(records: &[ReplyRecord]) -> Vec<u64> {
+    let mut words = Vec::new();
+    for r in records {
+        words.extend([r.id, r.arrival.to_bits()]);
+        match &r.outcome {
+            Ok(reply) => words.extend([
+                0,
+                reply.estimate.to_bits(),
+                reply.source as u64,
+                reply.completed_at.to_bits(),
+            ]),
+            Err(e) => {
+                words.push(1);
+                push_debug(&mut words, e);
+            }
+        }
+    }
+    words
+}
+
+/// The image of a finished campaign: both q-error summaries, the
+/// divergence, the poison batch, and the swap ledger of a served campaign.
+fn outcome_words(o: &AttackOutcome) -> Vec<u64> {
+    let mut words = Vec::new();
+    for s in [&o.clean, &o.poisoned] {
+        words.extend([s.mean, s.median, s.p90, s.p95, s.p99, s.max].map(f64::to_bits));
+    }
+    words.push(o.divergence.to_bits());
+    for q in &o.poison {
+        words.extend(q.tables.iter().map(|&t| t as u64));
+        for p in &q.predicates {
+            words.extend([p.table as u64, p.col as u64, p.lo as u64, p.hi as u64]);
+        }
+    }
+    for sw in &o.swaps {
+        words.extend([sw.wave, sw.version, sw.at.to_bits()]);
+        push_debug(&mut words, &sw.result);
+    }
+    words
+}
+
+/// The campaign fingerprint's words: the outcome's image and the poisoned
+/// victim's serialized parameters, one byte a word. Two runs with the same
+/// image reached the same final state.
+fn campaign_image(outcome: &AttackOutcome, victim: &Victim<'_>) -> Result<Vec<u64>, String> {
+    let mut words = outcome_words(outcome);
+    let mut params = Vec::new();
+    pace_tensor::serialize::write_params(victim.model().params(), &mut params)
+        .map_err(|e| format!("cannot serialize the poisoned model: {e}"))?;
+    words.extend(params.into_iter().map(u64::from));
+    Ok(words)
+}
+
+// ---- the demo campaign ------------------------------------------------------
+
+/// The demo campaign every campaign gate runs: quick TPC-H, history and
+/// test queries of up to three tables from a 142-seeded RNG, an FCN victim
+/// seeded 42 and trained with a fresh 242-seeded RNG, and a PACE campaign
+/// with a fixed FCN surrogate (speculation keys off wall-clock latency and
+/// would make the campaign non-deterministic). Setup, victim training and
+/// the campaign are separate steps so trace-report can span each one.
+struct Demo {
+    ds: Dataset,
+    history: Vec<Query>,
+    test: Workload,
+    data: EncodedWorkload,
+    k: AttackerKnowledge,
+    cfg: PipelineConfig,
+}
+
+impl Demo {
+    /// Builds the dataset at `data_seed` and labels both workloads.
+    fn setup(data_seed: u64, history: usize, test: usize) -> Self {
+        let ds = build(DatasetKind::Tpch, Scale::quick(), data_seed);
+        let spec = WorkloadSpec {
+            max_join_tables: 3,
+            ..WorkloadSpec::default()
+        };
+        let exec = Executor::new(&ds);
+        let mut rng = StdRng::seed_from_u64(142);
+        let history = generate_queries(&ds, &spec, &mut rng, history);
+        let test = exec.label_nonzero(generate_queries(&ds, &spec, &mut rng, test));
+        let labeled = exec.label_nonzero(history.clone());
+        let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
+        Self {
+            k: AttackerKnowledge::from_public(&ds, spec),
+            cfg: PipelineConfig {
+                surrogate_type: Some(CeModelType::Fcn),
+                ..PipelineConfig::quick()
+            },
+            ds,
+            history,
+            test,
+            data,
+        }
+    }
+
+    fn train_victim(&self) -> Result<Victim<'_>, String> {
+        let mut model = CeModel::new(CeModelType::Fcn, &self.ds, CeConfig::quick(), 42);
+        model
+            .train(&self.data, &mut StdRng::seed_from_u64(242))
+            .map_err(|e| format!("victim training failed: {e}"))?;
+        Ok(Victim::new(
+            model,
+            Executor::new(&self.ds),
+            self.history.clone(),
+        ))
+    }
+
+    /// Runs the resumable campaign, persisting its waves at `manifest`.
+    fn run(&self, victim: &mut Victim<'_>, manifest: &Path) -> Result<AttackOutcome, String> {
+        run_campaign(
+            victim,
+            AttackMethod::Pace,
+            &self.test,
+            &self.k,
+            &self.cfg,
+            manifest,
+        )
+        .map_err(|e| format!("campaign failed: {e}"))
+    }
+}
+
+/// True when every statistic of `s` is finite.
+fn finite(s: &QErrorSummary) -> bool {
+    [s.mean, s.median, s.p90, s.p95, s.p99, s.max]
+        .iter()
+        .all(|v| v.is_finite())
+}
+
+// ---- BENCH_*.json and disarmed-overhead timing ------------------------------
+
+/// A JSON value for the `BENCH_*.json` reports. A `Lit` is a number,
+/// formatted at the precision the report prints, a quoted string or `null`.
+enum Json {
+    Lit(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    fn num(v: f64, decimals: usize) -> Self {
+        Self::Lit(format!("{v:.decimals$}"))
+    }
+
+    fn int(v: impl std::fmt::Display) -> Self {
+        Self::Lit(v.to_string())
+    }
+
+    fn str(s: &str) -> Self {
+        Self::Lit(format!(
+            "\"{}\"",
+            s.replace('\\', "\\\\").replace('"', "\\\"")
+        ))
+    }
+
+    fn opt(v: Option<u64>) -> Self {
+        v.map_or_else(|| Self::Lit("null".into()), Self::int)
+    }
+
+    fn obj<const N: usize>(fields: [(&str, Json); N]) -> Self {
+        Self::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+    }
+
+    fn render(&self, out: &mut String, depth: usize) {
+        let (open, close, items): (_, _, Vec<(Option<&str>, &Json)>) = match self {
+            Self::Lit(s) => return out.push_str(s),
+            Self::Arr(v) => ('[', ']', v.iter().map(|j| (None, j)).collect()),
+            Self::Obj(f) => (
+                '{',
+                '}',
+                f.iter().map(|(k, j)| (Some(k.as_str()), j)).collect(),
+            ),
+        };
+        out.push(open);
+        for (i, (key, value)) in items.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            out.push_str(&format!("{sep}\n{}", "  ".repeat(depth + 1)));
+            if let Some(key) = key {
+                out.push_str(&format!("\"{key}\": "));
+            }
+            value.render(out, depth + 1);
+        }
+        if !items.is_empty() {
+            out.push_str(&format!("\n{}", "  ".repeat(depth)));
+        }
+        out.push(close);
+    }
+
+    /// Writes the report at the workspace root and says so.
+    fn write(&self, name: &str, failures: &mut Vec<String>) {
+        let path = workspace_root().join(name);
+        let mut text = String::new();
+        self.render(&mut text, 0);
+        text.push('\n');
+        match std::fs::write(&path, text) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(e) => failures.push(format!("cannot write {}: {e}", path.display())),
+        }
+    }
+}
+
+/// The `totals` block the serving reports share.
+fn totals_json(s: &ServeSummary) -> Json {
+    Json::obj([
+        ("requests", Json::int(s.requests)),
+        ("shed", Json::int(s.shed)),
+        ("fallback_served", Json::int(s.fallback_served)),
+        ("learned_served", Json::int(s.learned_served)),
+        ("deadline_missed", Json::int(s.deadline_missed)),
+        ("batches", Json::int(s.batches)),
+    ])
+}
+
+/// Windows the disarmed-overhead gates time, keeping the fastest: a busy
+/// host only slows a window down, so the fastest is the closest to the
+/// code's own cost.
+const TIMING_WINDOWS: usize = 5;
+
+/// Calls per window when timing a one-load operation.
+const LOAD_CALLS: u64 = 4_000_000;
+
+/// Nanoseconds per call of `op`: the fastest of [`TIMING_WINDOWS`] windows
+/// of `calls` calls each, after one untimed window.
+fn best_ns_per_call(calls: u64, mut op: impl FnMut()) -> f64 {
+    let mut window = || {
+        let t0 = Instant::now();
+        for _ in 0..calls {
+            op();
+        }
+        t0.elapsed().as_secs_f64() * 1e9 / calls as f64
+    };
+    window();
+    (0..TIMING_WINDOWS)
+        .map(|_| window())
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The cost of one relaxed atomic load, the unit both disarmed-overhead
+/// bounds are written in.
+fn relaxed_load_ns() -> f64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static BASELINE: AtomicU64 = AtomicU64::new(7);
+    best_ns_per_call(LOAD_CALLS, || {
+        black_box(BASELINE.load(Ordering::Relaxed));
+    })
 }
 
 // ---- trace-report -----------------------------------------------------------
@@ -410,58 +797,29 @@ fn print_trace_report(t: &TraceData) {
     }
 }
 
-/// Runs the deterministic demo campaign (the `chaos_campaign` recipe) with
-/// tracing armed, every stage inside an explicit phase span so the phase
-/// totals tile the run. Returns the measured wall time.
+/// Runs the demo campaign with tracing armed, every stage inside an
+/// explicit phase span so the phase totals tile the run. Returns the
+/// measured wall time.
 fn run_traced_demo(trace_path: &Path, work_dir: &Path) -> Result<f64, String> {
     trace::reset_metrics();
     trace::install(Some(trace_path.to_path_buf()));
     let wall0 = Instant::now();
     let result = (|| -> Result<(), String> {
         let _root = trace::span("trace-report::demo");
-        let seed = 42u64;
-        let (ds, test, history, data, k, cfg) = {
+        let demo = {
             let _p = trace::span("demo::setup");
-            let ds = build(DatasetKind::Tpch, Scale::quick(), seed);
-            let exec = Executor::new(&ds);
-            let spec = WorkloadSpec {
-                max_join_tables: 3,
-                ..WorkloadSpec::default()
-            };
-            let mut rng = StdRng::seed_from_u64(seed + 100);
-            let history = generate_queries(&ds, &spec, &mut rng, 400);
-            let test = exec.label_nonzero(generate_queries(&ds, &spec, &mut rng, 80));
-            let labeled = exec.label_nonzero(history.clone());
-            let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
-            let k = AttackerKnowledge::from_public(&ds, spec);
-            let mut cfg = PipelineConfig::quick();
-            // Fixed surrogate type: speculation keys off wall-clock latency
-            // and would make the demo non-deterministic.
-            cfg.surrogate_type = Some(CeModelType::Fcn);
-            (ds, test, history, data, k, cfg)
+            Demo::setup(42, 400, 80)
         };
         let mut victim = {
             let _p = trace::span("demo::train-victim");
-            let mut rng = StdRng::seed_from_u64(seed + 200);
-            let mut model = CeModel::new(CeModelType::Fcn, &ds, CeConfig::quick(), seed);
-            model
-                .train(&data, &mut rng)
-                .map_err(|e| format!("victim training failed: {e}"))?;
-            Victim::new(model, Executor::new(&ds), history)
+            demo.train_victim()?
         };
         let outcome = {
             let _p = trace::span("demo::campaign");
-            let manifest = work_dir.join("demo.campaign");
-            run_campaign(&mut victim, AttackMethod::Pace, &test, &k, &cfg, &manifest)
-                .map_err(|e| format!("campaign failed: {e}"))?
+            demo.run(&mut victim, &work_dir.join("demo.campaign"))?
         };
         {
             let _p = trace::span("demo::evaluate");
-            let finite = |s: &QErrorSummary| {
-                [s.mean, s.median, s.p90, s.p95, s.p99, s.max]
-                    .iter()
-                    .all(|v| v.is_finite())
-            };
             if !finite(&outcome.clean) || !finite(&outcome.poisoned) {
                 return Err("non-finite q-errors in the demo campaign".to_string());
             }
@@ -484,116 +842,45 @@ fn run_traced_demo(trace_path: &Path, work_dir: &Path) -> Result<f64, String> {
 /// cost about one relaxed atomic load. Generous bound (4× + 2 ns) so CI
 /// noise cannot flake it; a regression to a mutex or SeqCst fence is orders
 /// of magnitude beyond it.
-fn disarmed_overhead_ok() -> bool {
-    use std::sync::atomic::{AtomicU64, Ordering};
+fn check_disarmed_counter(failures: &mut Vec<String>) {
     trace::install(None);
     trace::reset_metrics();
-    static BASELINE: AtomicU64 = AtomicU64::new(7);
-    const N: u64 = 20_000_000;
-    for _ in 0..N / 20 {
-        trace::MATMUL_FLOPS.add(std::hint::black_box(1));
-    }
-    let t0 = Instant::now();
-    for _ in 0..N {
-        trace::MATMUL_FLOPS.add(std::hint::black_box(1));
-    }
-    let disarmed_ns = t0.elapsed().as_secs_f64() * 1e9 / N as f64;
-    let t0 = Instant::now();
-    let mut acc = 0u64;
-    for _ in 0..N {
-        acc = acc.wrapping_add(std::hint::black_box(BASELINE.load(Ordering::Relaxed)));
-    }
-    std::hint::black_box(acc);
-    let baseline_ns = t0.elapsed().as_secs_f64() * 1e9 / N as f64;
+    let disarmed_ns = best_ns_per_call(LOAD_CALLS, || trace::MATMUL_FLOPS.add(black_box(1)));
+    let baseline_ns = relaxed_load_ns();
     let counted = trace::MATMUL_FLOPS.get();
     println!(
         "\ndisarmed overhead: Counter::add {disarmed_ns:.2} ns/op, \
          relaxed-load baseline {baseline_ns:.2} ns/op"
     );
     if counted != 0 {
-        eprintln!("trace-report: disarmed counter counted {counted} increments");
-        return false;
+        failures.push(format!("disarmed counter counted {counted} increments"));
     }
     if disarmed_ns > baseline_ns * 4.0 + 2.0 {
-        eprintln!(
-            "trace-report: disarmed counter increment costs {disarmed_ns:.2} ns — \
+        failures.push(format!(
+            "disarmed counter increment costs {disarmed_ns:.2} ns — \
              more than one relaxed load's worth ({baseline_ns:.2} ns)"
-        );
-        return false;
-    }
-    true
-}
-
-/// Writes the machine-readable `BENCH_trace.json` next to the trace.
-fn write_bench_json(
-    path: &Path,
-    wall_s: f64,
-    phases: &[(String, u64, u64)],
-    t: &TraceData,
-) -> std::io::Result<()> {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"wall_s\": {wall_s:.6},\n"));
-    s.push_str("  \"phases\": [");
-    for (i, (name, count, total_ns)) in phases.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"name\": \"{name}\", \"count\": {count}, \"seconds\": {:.6}}}",
-            *total_ns as f64 / 1e9
         ));
     }
-    s.push_str("\n  ],\n  \"counters\": {");
-    for (i, (name, value)) in t.counters.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n    \"{name}\": {value}"));
-    }
-    s.push_str("\n  }\n}\n");
-    std::fs::write(path, s)
 }
 
-fn trace_report() -> ExitCode {
-    let root = workspace_root();
+fn read_text(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+fn trace_report(failures: &mut Vec<String>) -> Result<String, String> {
     if let Some(path) = std::env::args().nth(2) {
         // Report-only mode: render an existing trace, no demo, no gates.
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("trace-report: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("trace-report: {path}");
-        print_trace_report(&parse_trace(&text));
-        return ExitCode::SUCCESS;
+        print_trace_report(&parse_trace(&read_text(Path::new(&path))?));
+        return Ok(format!("trace-report: rendered {path}"));
     }
 
-    let trace_path = root.join("pace_trace.jsonl");
-    let work_dir = std::env::temp_dir().join(format!("pace-trace-report-{}", std::process::id()));
-    if let Err(e) = std::fs::create_dir_all(&work_dir) {
-        eprintln!("trace-report: cannot create {}: {e}", work_dir.display());
-        return ExitCode::FAILURE;
-    }
+    let trace_path = workspace_root().join("pace_trace.jsonl");
+    let work_dir = scratch_dir("pace-trace-report")?;
     println!("trace-report: running the traced demo campaign (quick TPC-H, PACE)...");
     let demo = run_traced_demo(&trace_path, &work_dir);
     let _ = std::fs::remove_dir_all(&work_dir);
-    let wall_s = match demo {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("trace-report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let text = match std::fs::read_to_string(&trace_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("trace-report: cannot read {}: {e}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let wall_s = demo?;
+    let text = read_text(&trace_path)?;
     let t = parse_trace(&text);
     println!(
         "\ntrace: {} ({} lines)",
@@ -608,8 +895,7 @@ fn trace_report() -> ExitCode {
         .iter()
         .find(|&&i| t.spans[i].name == "trace-report::demo")
     else {
-        eprintln!("trace-report: demo root span missing from the trace");
-        return ExitCode::FAILURE;
+        return Err("demo root span missing from the trace".into());
     };
     let mut phases: Vec<(String, u64, u64)> = Vec::new();
     for &c in &t.spans[root_span].children {
@@ -651,48 +937,76 @@ fn trace_report() -> ExitCode {
          across the demo"
     );
 
-    if let Err(e) = write_bench_json(&root.join("BENCH_trace.json"), wall_s, &phases, &t) {
-        eprintln!("trace-report: cannot write BENCH_trace.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", root.join("BENCH_trace.json").display());
+    Json::obj([
+        ("wall_s", Json::num(wall_s, 6)),
+        (
+            "phases",
+            Json::Arr(
+                phases
+                    .iter()
+                    .map(|(name, count, ns)| {
+                        Json::obj([
+                            ("name", Json::str(name)),
+                            ("count", Json::int(count)),
+                            ("seconds", Json::num(*ns as f64 / 1e9, 6)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "counters",
+            Json::Obj(
+                t.counters
+                    .iter()
+                    .map(|(name, value)| (name.clone(), Json::int(value)))
+                    .collect(),
+            ),
+        ),
+    ])
+    .write("BENCH_trace.json", failures);
 
-    let mut ok = true;
     if (phase_s - demo_s).abs() / demo_s > 0.01 {
-        eprintln!(
-            "trace-report: phase totals ({phase_s:.3} s) diverge from the demo span \
-             ({demo_s:.3} s) by more than 1% — untraced work inside the demo"
-        );
-        ok = false;
+        failures.push(format!(
+            "phase totals ({phase_s:.3} s) diverge from the demo span ({demo_s:.3} s) by more \
+             than 1% — untraced work inside the demo"
+        ));
     }
     for name in COVERED_SPANS {
         match child_coverage(&t, name) {
             Some(c) if c >= MIN_CHILD_COVERAGE => {}
-            Some(c) => {
-                eprintln!(
-                    "trace-report: the children of {name} cover {:.2}% of it, below {:.0}% \
-                     — untraced work inside it",
-                    c * 100.0,
-                    MIN_CHILD_COVERAGE * 100.0
-                );
-                ok = false;
-            }
-            None => {
-                eprintln!("trace-report: no {name} span in the demo trace");
-                ok = false;
-            }
+            Some(c) => failures.push(format!(
+                "the children of {name} cover {:.2}% of it, below {:.0}% — untraced work \
+                 inside it",
+                c * 100.0,
+                MIN_CHILD_COVERAGE * 100.0
+            )),
+            None => failures.push(format!("no {name} span in the demo trace")),
         }
     }
-    ok &= disarmed_overhead_ok();
-    if ok {
-        println!("trace-report: OK");
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    check_disarmed_counter(failures);
+    Ok("trace-report: OK".into())
 }
 
 // ---- lint -------------------------------------------------------------------
+
+/// The lint rules, numbered as in the module docs.
+const LINTS: [fn(&Path, &mut Vec<String>); 6] = [
+    check_op_coverage,
+    check_no_unwrap,
+    check_no_probe_panics,
+    check_no_raw_threads,
+    check_no_nan_sort,
+    check_pool_call_discipline,
+];
+
+fn lint(failures: &mut Vec<String>) -> Result<String, String> {
+    let root = workspace_root();
+    for check in LINTS {
+        check(&root, failures);
+    }
+    Ok("xtask lint: OK".into())
+}
 
 /// The workspace root: this binary's manifest lives at `crates/xtask`.
 fn workspace_root() -> PathBuf {
@@ -702,6 +1016,13 @@ fn workspace_root() -> PathBuf {
         .and_then(Path::parent)
         .expect("crates/xtask has a workspace two levels up")
         .to_path_buf()
+}
+
+/// A fresh directory `<prefix>-<pid>` under the system temp dir.
+fn scratch_dir(prefix: &str) -> Result<PathBuf, String> {
+    let dir = std::env::temp_dir().join(format!("{prefix}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    Ok(dir)
 }
 
 fn read(root: &Path, rel: &str) -> String {
@@ -853,13 +1174,7 @@ fn unwrap_exempt(rel: &Path) -> bool {
 }
 
 fn check_no_unwrap(root: &Path, failures: &mut Vec<String>) {
-    let mut sources = Vec::new();
-    collect_rs(&root.join("crates"), root, &mut sources);
-    for rel in sources {
-        if unwrap_exempt(&rel) {
-            continue;
-        }
-        let src = read(root, &rel.to_string_lossy());
+    for (rel, src) in sources(root, &["crates"], unwrap_exempt) {
         failures.extend(unwrap_violations(&rel, &src));
     }
 }
@@ -888,6 +1203,23 @@ fn unwrap_violations(rel: &Path, src: &str) -> Vec<String> {
         }
     }
     out
+}
+
+/// Every `.rs` file under `dirs` that `exempt` does not skip, as its
+/// root-relative path and its text.
+fn sources(root: &Path, dirs: &[&str], exempt: fn(&Path) -> bool) -> Vec<(PathBuf, String)> {
+    let mut paths = Vec::new();
+    for dir in dirs {
+        collect_rs(&root.join(dir), root, &mut paths);
+    }
+    paths
+        .into_iter()
+        .filter(|rel| !exempt(rel))
+        .map(|rel| {
+            let src = read(root, &rel.to_string_lossy());
+            (rel, src)
+        })
+        .collect()
 }
 
 fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) {
@@ -958,11 +1290,7 @@ const PROBE_TOKENS: [&str; 9] = [
 /// be `.unwrap()`/`.expect()`-ed — they carry the typed failure surface the
 /// resilience layer recovers from.
 fn check_no_probe_panics(root: &Path, failures: &mut Vec<String>) {
-    let mut sources = Vec::new();
-    collect_rs(&root.join("crates/core/src"), root, &mut sources);
-    collect_rs(&root.join("crates/ce/src"), root, &mut sources);
-    for rel in sources {
-        let src = read(root, &rel.to_string_lossy());
+    for (rel, src) in sources(root, &["crates/core/src", "crates/ce/src"], |_| false) {
         for (line_no, line) in strip_test_modules(&src) {
             let code = line.split("//").next().unwrap_or(line);
             let panics = code.contains(".unwrap()") || code.contains(".expect(");
@@ -986,22 +1314,17 @@ const THREAD_TOKENS: [&str; 2] = ["thread::spawn(", "thread::scope("];
 /// an ad-hoc `thread::spawn`/`thread::scope` escapes the size-derived
 /// chunking and ordered reduction that make results `PACE_THREADS`-invariant.
 fn check_no_raw_threads(root: &Path, failures: &mut Vec<String>) {
-    let mut sources = Vec::new();
-    collect_rs(&root.join("crates"), root, &mut sources);
-    for rel in sources {
-        let s = rel.to_string_lossy().into_owned();
-        // crates/xtask is exempt because this lint's own token table would
-        // match itself; it is tooling, not product code.
-        if s.starts_with("crates/runtime/") || s.starts_with("crates/xtask/") {
-            continue;
-        }
-        let src = read(root, &s);
+    // crates/xtask is exempt because this lint's own token table would
+    // match itself; it is tooling, not product code.
+    let exempt = |rel: &Path| rel.starts_with("crates/runtime") || rel.starts_with("crates/xtask");
+    for (rel, src) in sources(root, &["crates"], exempt) {
         for (line_no, line) in src.lines().enumerate() {
             let code = line.split("//").next().unwrap_or(line);
             if THREAD_TOKENS.iter().any(|t| code.contains(t)) {
                 failures.push(format!(
-                    "{s}:{}: raw thread primitive outside crates/runtime — fan out through \
+                    "{}:{}: raw thread primitive outside crates/runtime — fan out through \
                      `pace_runtime` so results stay thread-count invariant",
+                    rel.display(),
                     line_no + 1
                 ));
             }
@@ -1024,13 +1347,7 @@ fn is_nan_tolerant_sort(code: &str) -> bool {
 /// Checks each line and each pair of adjacent lines (rustfmt likes to split
 /// `partial_cmp(b)` and the `.unwrap_or(..)` across lines).
 fn check_no_nan_sort(root: &Path, failures: &mut Vec<String>) {
-    let mut sources = Vec::new();
-    collect_rs(&root.join("crates"), root, &mut sources);
-    for rel in sources {
-        if unwrap_exempt(&rel) {
-            continue;
-        }
-        let src = read(root, &rel.to_string_lossy());
+    for (rel, src) in sources(root, &["crates"], unwrap_exempt) {
         let lines = strip_test_modules(&src);
         for w in 0..lines.len() {
             let (line_no, line) = lines[w];
@@ -1189,13 +1506,7 @@ fn line_at(line_of_offset: &[(usize, usize)], pos: usize) -> usize {
 /// arguments only, and no thread-count/env reads or shared-state primitives
 /// inside the call span. See module docs, lint rule 6.
 fn check_pool_call_discipline(root: &Path, failures: &mut Vec<String>) {
-    let mut sources = Vec::new();
-    collect_rs(&root.join("crates"), root, &mut sources);
-    for rel in sources {
-        if pool_discipline_exempt(&rel) {
-            continue;
-        }
-        let src = read(root, &rel.to_string_lossy());
+    for (rel, src) in sources(root, &["crates"], pool_discipline_exempt) {
         // Rebuild the non-test text, remembering original line numbers.
         let mut text = String::new();
         let mut line_of_offset: Vec<(usize, usize)> = Vec::new();
@@ -1255,87 +1566,41 @@ fn check_pool_call_discipline(root: &Path, failures: &mut Vec<String>) {
 
 // ---- determinism ------------------------------------------------------------
 
-/// The parameter bytes of `matrices`, flattened in order.
-fn matrix_bits(matrices: &[Matrix]) -> Vec<u32> {
-    matrices
-        .iter()
-        .flat_map(|m| m.data().iter().map(|x| x.to_bits()))
-        .collect()
-}
-
-/// Thread counts the in-process gate compares against the sequential run.
-const DETERMINISM_THREADS: [usize; 3] = [2, 4, 8];
-
-fn determinism() -> ExitCode {
-    use pace_tensor::pool;
-    let mut failures: Vec<String> = Vec::new();
+fn determinism(failures: &mut Vec<String>) -> Result<String, String> {
     println!("determinism: quick TPC-H dataset + labeled workload...");
     let ds = build(DatasetKind::Tpch, Scale::quick(), 2);
     let exec = Executor::new(&ds);
     let mut rng = StdRng::seed_from_u64(42);
     let queries = generate_queries(&ds, &WorkloadSpec::default(), &mut rng, 96);
+    let cells = cells(race::sched_seed(), &[1, 2, 4, 8]);
 
     // (1) Batch exact counting over the pool.
-    pool::set_threads(1);
-    let counts = exec.count_batch(&queries);
-    for threads in DETERMINISM_THREADS {
-        pool::set_threads(threads);
-        if exec.count_batch(&queries) != counts {
-            failures.push(format!("count_batch diverges at {threads} threads"));
-        }
-    }
-    println!(
-        "determinism: count_batch over {} queries — checked at {DETERMINISM_THREADS:?} threads",
-        queries.len()
+    bit_identity(
+        "determinism: count_batch over 96 queries",
+        &cells,
+        failures,
+        |_| Ok(exec.count_batch(&queries)),
     );
 
     // (2) A briefly trained CE model: the full parameter vector must be
-    // byte-equal whatever the thread count: training labels its data with
-    // the batch above and is a long chain of kernels, so any
+    // bit-identical whatever the thread count: training labels its data
+    // with the batch above and is a long chain of kernels, so any
     // reduction-order leak compounds here.
     let labeled = exec.label_nonzero(queries);
     let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
-    let train_once = || -> Result<Vec<u32>, String> {
+    bit_identity("determinism: FCN training", &cells, failures, |_| {
         let mut model = CeModel::new(CeModelType::Fcn, &ds, CeConfig::quick(), 6);
-        let mut rng = StdRng::seed_from_u64(7);
         model
-            .train(&data, &mut rng)
+            .train(&data, &mut StdRng::seed_from_u64(7))
             .map_err(|e| format!("training failed: {e}"))?;
-        Ok(matrix_bits(&model.params().snapshot()))
-    };
-    pool::set_threads(1);
-    match train_once() {
-        Err(e) => failures.push(e),
-        Ok(params) => {
-            for threads in DETERMINISM_THREADS {
-                pool::set_threads(threads);
-                match train_once() {
-                    Err(e) => failures.push(format!("{threads} threads: {e}")),
-                    Ok(p) if p != params => {
-                        failures.push(format!("trained parameters diverge at {threads} threads"))
-                    }
-                    Ok(_) => {}
-                }
-            }
-            println!(
-                "determinism: FCN training ({} parameter scalars) — checked at \
-                 {DETERMINISM_THREADS:?} threads",
-                params.len()
-            );
-        }
-    }
-    pool::set_threads(0);
-
-    if failures.is_empty() {
-        println!("xtask determinism: bit-identical across thread counts");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("xtask determinism: {f}");
-        }
-        eprintln!("xtask determinism: {} failure(s)", failures.len());
-        ExitCode::FAILURE
-    }
+        Ok(model
+            .params()
+            .snapshot()
+            .iter()
+            .flat_map(|m| m.data().iter().map(|x| u64::from(x.to_bits())))
+            .collect())
+    });
+    Ok("xtask determinism: bit-identical across thread counts".into())
 }
 
 // ---- race-report ------------------------------------------------------------
@@ -1348,89 +1613,8 @@ const SCHED_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0x5eed, 0xfeed_f00d];
 /// Thread counts the schedule matrix crosses with [`SCHED_SEEDS`].
 const SCHED_THREADS: [usize; 3] = [1, 4, 8];
 
-/// FNV-1a over `u64` words — the same fingerprint `chaos_campaign` prints,
-/// so digests are comparable across gates.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-    fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Runs a reduced demo campaign (the `chaos_campaign` recipe at 200 history
-/// / 40 test queries) from scratch — labeling and victim training
-/// included, so every `count_batch` fan-out sits under the active
-/// schedule — and returns its bit-exact fingerprint.
-fn demo_campaign_digest(ds: &Dataset, work: &Path, tag: &str) -> Result<u64, String> {
-    let exec = Executor::new(ds);
-    let spec = WorkloadSpec {
-        max_join_tables: 3,
-        ..WorkloadSpec::default()
-    };
-    let mut rng = StdRng::seed_from_u64(142);
-    let history = generate_queries(ds, &spec, &mut rng, 200);
-    let test = exec.label_nonzero(generate_queries(ds, &spec, &mut rng, 40));
-    let labeled = exec.label_nonzero(history.clone());
-    let data = EncodedWorkload::from_workload(&QueryEncoder::new(ds), &labeled);
-    let mut model = CeModel::new(CeModelType::Fcn, ds, CeConfig::quick(), 42);
-    let mut train_rng = StdRng::seed_from_u64(242);
-    model
-        .train(&data, &mut train_rng)
-        .map_err(|e| format!("victim training failed: {e}"))?;
-    let mut victim = Victim::new(model, Executor::new(ds), history);
-    let k = AttackerKnowledge::from_public(ds, spec);
-    let mut cfg = PipelineConfig::quick();
-    // Fixed surrogate type: speculation keys off wall-clock latency and
-    // would make the digest non-deterministic.
-    cfg.surrogate_type = Some(CeModelType::Fcn);
-    let manifest = work.join(format!("race-{tag}.campaign"));
-    let outcome = run_campaign(&mut victim, AttackMethod::Pace, &test, &k, &cfg, &manifest)
-        .map_err(|e| format!("campaign failed: {e}"))?;
-
-    let mut h = Fnv::new();
-    for s in [&outcome.clean, &outcome.poisoned] {
-        for v in [s.mean, s.median, s.p90, s.p95, s.p99, s.max] {
-            h.write_u64(v.to_bits());
-        }
-    }
-    h.write_u64(outcome.divergence.to_bits());
-    for q in &outcome.poison {
-        for &t in &q.tables {
-            h.write_u64(t as u64);
-        }
-        for p in &q.predicates {
-            h.write_u64(p.table as u64);
-            h.write_u64(p.col as u64);
-            h.write_u64(p.lo as u64);
-            h.write_u64(p.hi as u64);
-        }
-    }
-    let mut params = Vec::new();
-    pace_tensor::serialize::write_params(victim.model().params(), &mut params)
-        .map_err(|e| format!("cannot serialize the poisoned model: {e}"))?;
-    for b in params {
-        h.write_u64(u64::from(b));
-    }
-    Ok(h.finish())
-}
-
-fn race_report() -> ExitCode {
-    use pace_tensor::pool;
+fn race_report(failures: &mut Vec<String>) -> Result<String, String> {
     use pool::flags::FlagMode;
-    use pool::race;
-
-    let root = workspace_root();
-    let mut failures: Vec<String> = Vec::new();
 
     // Shared fixtures: a quick TPC-H dataset and a workload to count.
     println!("race-report: building quick TPC-H dataset + workload...");
@@ -1492,92 +1676,41 @@ fn race_report() -> ExitCode {
     }
     race::RACE.set(FlagMode::Off);
 
-    // (2) Schedule-fuzz matrix: count_batch and a reduced demo campaign must
-    // be bit-identical across adversarial seeds × thread counts.
-    let work_dir = std::env::temp_dir().join(format!("pace-race-report-{}", std::process::id()));
-    if let Err(e) = std::fs::create_dir_all(&work_dir) {
-        eprintln!("race-report: cannot create {}: {e}", work_dir.display());
-        return ExitCode::FAILURE;
+    // (2) Schedule-fuzz matrix: count_batch and a reduced demo campaign,
+    // rebuilt from scratch in every cell (labeling and victim training
+    // included, so every count_batch fan-out sits under the cell's
+    // schedule), must match a natural 1-thread baseline across adversarial
+    // seeds × thread counts.
+    let work_dir = scratch_dir("pace-race-report")?;
+    let mut matrix = cells(None, &[1]);
+    for seed in SCHED_SEEDS {
+        matrix.extend(cells(Some(seed), &SCHED_THREADS));
     }
-    race::set_sched(None);
-    pool::set_threads(1);
-    let counts_base = exec.count_batch(&queries);
-    println!("race-report: baseline campaign digest (natural schedule, 1 thread)...");
-    let digest_base = match demo_campaign_digest(&ds, &work_dir, "base") {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("race-report: baseline campaign failed: {e}");
-            let _ = std::fs::remove_dir_all(&work_dir);
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("race-report: baseline fingerprint {digest_base:016x}");
-    let mut combos = 0usize;
-    for (si, &seed) in SCHED_SEEDS.iter().enumerate() {
-        for &threads in &SCHED_THREADS {
-            race::set_sched(Some(seed));
-            pool::set_threads(threads);
-            combos += 1;
-            if exec.count_batch(&queries) != counts_base {
-                failures.push(format!(
-                    "count_batch diverges under PACE_SCHED={seed} at {threads} threads"
-                ));
-            }
-            match demo_campaign_digest(&ds, &work_dir, &format!("s{si}t{threads}")) {
-                Ok(d) if d == digest_base => {}
-                Ok(d) => failures.push(format!(
-                    "demo campaign diverges under PACE_SCHED={seed} at {threads} threads: \
-                     {d:016x} != {digest_base:016x}"
-                )),
-                Err(e) => failures.push(format!(
-                    "demo campaign failed under PACE_SCHED={seed} at {threads} threads: {e}"
-                )),
-            }
-        }
-        println!(
-            "race-report: seed {seed:#x}: count_batch + campaign bit-identical at \
-             {SCHED_THREADS:?} threads"
-        );
-    }
-    race::set_sched(None);
+    bit_identity("race-report: count_batch", &matrix, failures, |_| {
+        Ok(exec.count_batch(&queries))
+    });
+    let fingerprint = bit_identity("race-report: demo campaign", &matrix, failures, |i| {
+        let demo = Demo::setup(2, 200, 40);
+        let mut victim = demo.train_victim()?;
+        let outcome = demo.run(&mut victim, &work_dir.join(format!("race-{i}.campaign")))?;
+        campaign_image(&outcome, &victim)
+    });
     let _ = std::fs::remove_dir_all(&work_dir);
+    let Some(fingerprint) = fingerprint else {
+        return Ok(String::new()); // the harness reported the failed baseline
+    };
 
     // (3) Disarmed overhead: with PACE_RACE off, the per-region check is
     // 1–2 relaxed loads — bounded both absolutely (vs a measured relaxed
     // load) and relatively (≤ 1% of one count_batch fan-out).
     pool::set_threads(4);
-    let (check_ns, load_ns) = {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static BASELINE: AtomicU64 = AtomicU64::new(7);
-        const N: u64 = 20_000_000;
-        for _ in 0..N / 20 {
-            std::hint::black_box(race::armed());
-        }
-        let t0 = Instant::now();
-        for _ in 0..N {
-            std::hint::black_box(race::armed());
-            std::hint::black_box(race::sched_seed());
-        }
-        let check_ns = t0.elapsed().as_secs_f64() * 1e9 / N as f64;
-        let t0 = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..N {
-            acc = acc.wrapping_add(std::hint::black_box(BASELINE.load(Ordering::Relaxed)));
-        }
-        std::hint::black_box(acc);
-        (check_ns, t0.elapsed().as_secs_f64() * 1e9 / N as f64)
-    };
-    let bench_ns = |f: &dyn Fn()| {
-        f(); // warm
-        let reps = 5;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        t0.elapsed().as_secs_f64() * 1e9 / f64::from(reps)
-    };
-    let count_ns = bench_ns(&|| {
-        std::hint::black_box(exec.count_batch(&queries));
+    let check_ns = best_ns_per_call(LOAD_CALLS, || {
+        black_box(race::armed());
+        black_box(race::sched_seed());
+    });
+    let load_ns = relaxed_load_ns();
+    let count_ns = best_ns_per_call(1, || {
+        black_box(exec.count_batch(&queries));
     });
     pool::set_threads(0);
     let count_share = check_ns / count_ns;
@@ -1603,118 +1736,132 @@ fn race_report() -> ExitCode {
         ));
     }
 
-    // Machine-readable artifact for CI.
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"schedule_matrix\": {{\"seeds\": {SCHED_SEEDS:?}, \
-         \"threads\": {SCHED_THREADS:?}, \"combos\": {combos}, \
-         \"campaign_fingerprint\": \"{digest_base:016x}\"}},\n"
-    ));
-    s.push_str(&format!(
-        "  \"disarmed_overhead\": {{\"check_ns\": {check_ns:.4}, \
-         \"relaxed_load_ns\": {load_ns:.4}, \"count_batch_ns\": {count_ns:.0}, \
-         \"count_share\": {count_share:.6}}},\n"
-    ));
-    s.push_str(&format!("  \"failures\": {}\n}}\n", failures.len()));
-    let json_path = root.join("BENCH_race.json");
-    if let Err(e) = std::fs::write(&json_path, s) {
-        eprintln!("race-report: cannot write {}: {e}", json_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("race-report: wrote {}", json_path.display());
-
-    if failures.is_empty() {
-        println!(
-            "xtask race-report: OK — seeded dirty region caught, {combos} schedule \
-             combos bit-identical"
-        );
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("xtask race-report: {f}");
-        }
-        eprintln!("xtask race-report: {} failure(s)", failures.len());
-        ExitCode::FAILURE
-    }
+    let combos = matrix.len() - 1;
+    let failed = failures.len();
+    Json::obj([
+        (
+            "schedule_matrix",
+            Json::obj([
+                ("seeds", Json::Arr(SCHED_SEEDS.map(Json::int).into())),
+                ("threads", Json::Arr(SCHED_THREADS.map(Json::int).into())),
+                ("combos", Json::int(combos)),
+                (
+                    "campaign_fingerprint",
+                    Json::str(&format!("{fingerprint:016x}")),
+                ),
+            ]),
+        ),
+        (
+            "disarmed_overhead",
+            Json::obj([
+                ("check_ns", Json::num(check_ns, 4)),
+                ("relaxed_load_ns", Json::num(load_ns, 4)),
+                ("count_batch_ns", Json::num(count_ns, 0)),
+                ("count_share", Json::num(count_share, 6)),
+            ]),
+        ),
+        ("failures", Json::int(failed)),
+    ])
+    .write("BENCH_race.json", failures);
+    Ok(format!(
+        "xtask race-report: OK — seeded dirty region caught, {combos} schedule combos \
+         bit-identical"
+    ))
 }
 
 // ---- chaos ------------------------------------------------------------------
 
-/// One `chaos_campaign` process run.
+/// `xtask chaos-campaign <manifest>`: the demo campaign as the child
+/// process of [`chaos`], with a timing-free report ending in the campaign
+/// fingerprint. Exit codes are listed in the module docs.
+fn chaos_campaign() -> ExitCode {
+    let Some(manifest) = std::env::args().nth(2).map(PathBuf::from) else {
+        eprintln!("usage: xtask chaos-campaign <manifest-path>");
+        return ExitCode::FAILURE;
+    };
+    let demo = Demo::setup(42, 400, 80);
+    let run = demo.train_victim().and_then(|mut victim| {
+        let outcome = demo.run(&mut victim, &manifest)?;
+        let image = campaign_image(&outcome, &victim)?;
+        Ok((outcome, image))
+    });
+    let (outcome, image) = match run {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("chaos-campaign: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    if !finite(&outcome.clean) || !finite(&outcome.poisoned) || !outcome.divergence.is_finite() {
+        eprintln!("chaos-campaign: non-finite q-errors after recovery");
+        return ExitCode::from(3);
+    }
+    for (name, s) in [("clean", &outcome.clean), ("poisoned", &outcome.poisoned)] {
+        println!(
+            "{name:<8} mean {:.6} median {:.6} p95 {:.6} max {:.6}",
+            s.mean, s.median, s.p95, s.max
+        );
+    }
+    println!(
+        "poison queries: {}  divergence {:.6}",
+        outcome.poison.len(),
+        outcome.divergence
+    );
+    println!("fingerprint: {:016x}", fnv(&image));
+    ExitCode::SUCCESS
+}
+
+/// One `chaos-campaign` process run.
 struct ChaosRun {
     code: i32,
     stdout: String,
     stderr: String,
 }
 
-fn chaos_campaign_once(manifest: &Path, faults: Option<&str>) -> ChaosRun {
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let mut cmd = std::process::Command::new(cargo);
-    cmd.args([
-        "run",
-        "--release",
-        "-q",
-        "-p",
-        "xtask",
-        "--bin",
-        "chaos_campaign",
-        "--",
-    ]);
-    cmd.arg(manifest);
-    match faults {
-        Some(f) => {
-            cmd.env("PACE_FAULTS", f);
-        }
-        None => {
-            cmd.env_remove("PACE_FAULTS");
-        }
-    }
-    let out = cmd
-        .output()
-        .unwrap_or_else(|e| panic!("xtask chaos: cannot spawn chaos_campaign: {e}"));
-    ChaosRun {
-        code: out.status.code().unwrap_or(-1),
-        stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
-        stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
-    }
-}
-
-/// Runs the campaign to completion through injected crashes: every exit code
-/// [`pace_tensor::fault::CRASH_EXIT_CODE`] resumes from the same manifest.
-/// Returns the final run and how many crashes were absorbed.
-fn chaos_campaign_resuming(manifest: &Path, faults: &str, max_runs: u32) -> (ChaosRun, u32) {
+/// Runs `chaos-campaign` at `manifest` under `faults`, rerunning it from
+/// the same manifest after each injected crash
+/// ([`pace_tensor::fault::CRASH_EXIT_CODE`]) up to `max_crashes` times.
+/// Returns the last run and how many crashes were absorbed.
+fn chaos_campaign_run(manifest: &Path, faults: Option<&str>, max_crashes: u32) -> (ChaosRun, u32) {
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| panic!("xtask chaos: cannot locate the xtask binary: {e}"));
     let mut crashes = 0;
-    for _ in 0..max_runs {
-        let run = chaos_campaign_once(manifest, Some(faults));
-        if run.code == fault::CRASH_EXIT_CODE {
-            crashes += 1;
-            continue;
+    loop {
+        let mut cmd = std::process::Command::new(&exe);
+        cmd.arg("chaos-campaign").arg(manifest);
+        match faults {
+            Some(f) => cmd.env("PACE_FAULTS", f),
+            None => cmd.env_remove("PACE_FAULTS"),
+        };
+        let out = cmd
+            .output()
+            .unwrap_or_else(|e| panic!("xtask chaos: cannot spawn chaos-campaign: {e}"));
+        let run = ChaosRun {
+            code: out.status.code().unwrap_or(-1),
+            stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
+            stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
+        };
+        if run.code != fault::CRASH_EXIT_CODE || crashes == max_crashes {
+            return (run, crashes);
         }
-        return (run, crashes);
+        crashes += 1;
     }
-    panic!("xtask chaos: campaign under {faults:?} still crashing after {max_runs} runs");
 }
 
-fn chaos() -> ExitCode {
-    let dir = std::env::temp_dir().join(format!("pace-chaos-{}", std::process::id()));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("xtask chaos: cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    let mut failures: Vec<String> = Vec::new();
+fn chaos(failures: &mut Vec<String>) -> Result<String, String> {
+    let dir = scratch_dir("pace-chaos")?;
 
     // Fault-free baseline, run twice: the campaign itself must be
     // deterministic before fault recovery can promise bit-identity.
     println!("chaos: baseline (faults off), twice...");
-    let base_a = chaos_campaign_once(&dir.join("baseline-a"), None);
-    let base_b = chaos_campaign_once(&dir.join("baseline-b"), None);
+    let (base_a, _) = chaos_campaign_run(&dir.join("baseline-a"), None, 0);
+    let (base_b, _) = chaos_campaign_run(&dir.join("baseline-b"), None, 0);
     if base_a.code != 0 {
-        eprintln!("{}", base_a.stderr);
-        eprintln!(
-            "xtask chaos: fault-free campaign failed (exit {})",
+        let stderr = base_a.stderr.trim();
+        return Err(format!(
+            "fault-free campaign failed (exit {}) — {stderr}",
             base_a.code
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     if base_b.stdout != base_a.stdout {
         failures
@@ -1722,83 +1869,54 @@ fn chaos() -> ExitCode {
     }
     print!("{}", base_a.stdout);
 
-    // Transient faults: retries/validation absorb them and the campaign
-    // reproduces the baseline exactly.
+    // The campaign fault matrix. Transient faults (timeout, error, corrupt)
+    // are absorbed by retries and validation, and crashes by resuming from
+    // the manifest: each must reproduce the baseline bit for bit. NaN
+    // gradients roll back with a halved learning rate, which moves the
+    // trajectory, so only completion with finite results is required. A
+    // hard-down oracle exhausts every retry and degradation path and must
+    // fail with a typed campaign error (exit 2), never a panic.
     for (name, spec) in [
         ("timeout", "seed=7;timeout,site=explain,every=9,lat=0.05"),
         ("error", "seed=7;error,site=explain,every=11"),
         ("corrupt", "seed=7;corrupt,site=explain,every=13"),
+        (
+            "nan",
+            "nan,site=ce-update,at=1;nan,site=surrogate-imitate,at=2",
+        ),
+        ("crash-craft", "crash,site=campaign-craft,at=1"),
+        ("crash-wave", "crash,site=campaign-wave,every=2"),
+        ("hard-down", "error,site=explain,every=1"),
     ] {
         println!("chaos: {name} ({spec})...");
-        let run = chaos_campaign_once(&dir.join(name), Some(spec));
-        if run.code != 0 {
-            failures.push(format!("{name}: exit {} — {}", run.code, run.stderr.trim()));
-        } else if run.stdout != base_a.stdout {
-            failures.push(format!(
-                "{name}: absorbed faults changed the outcome\n  baseline: {}\n  faulted : {}",
-                last_line(&base_a.stdout),
-                last_line(&run.stdout)
-            ));
-        }
-    }
-
-    // NaN gradients: rollback + halved LR changes the trajectory, so only
-    // completion with finite results is required.
-    {
-        let spec = "nan,site=ce-update,at=1;nan,site=surrogate-imitate,at=2";
-        println!("chaos: nan ({spec})...");
-        let run = chaos_campaign_once(&dir.join("nan"), Some(spec));
-        if run.code != 0 {
-            failures.push(format!("nan: exit {} — {}", run.code, run.stderr.trim()));
-        }
-    }
-
-    // Crashes: the process dies at the injected point; resuming from the
-    // manifest must reproduce the baseline bit-identically.
-    for (name, spec, min_crashes) in [
-        ("crash-craft", "crash,site=campaign-craft,at=1", 1),
-        ("crash-wave", "crash,site=campaign-wave,every=2", 1),
-    ] {
-        println!("chaos: {name} ({spec})...");
-        let (run, crashes) = chaos_campaign_resuming(&dir.join(name), spec, 10);
-        if crashes < min_crashes {
+        // A crashing spec gets nine resumes to finish in.
+        let crashing = spec.starts_with("crash");
+        let max_crashes = if crashing { 9 } else { 0 };
+        let (run, crashes) = chaos_campaign_run(&dir.join(name), Some(spec), max_crashes);
+        let want = if name == "hard-down" { 2 } else { 0 };
+        if crashing && crashes == 0 {
             failures.push(format!("{name}: expected an injected crash, saw none"));
         }
-        if run.code != 0 {
+        if run.code != want {
             failures.push(format!(
-                "{name}: resumed campaign failed (exit {}) — {}",
+                "{name}: expected exit {want}, got exit {} — {}",
                 run.code,
                 run.stderr.trim()
             ));
-        } else if run.stdout != base_a.stdout {
+        } else if want == 0 && name != "nan" && run.stdout != base_a.stdout {
             failures.push(format!(
-                "{name}: resume after {crashes} crash(es) diverged from the baseline\n  \
-                 baseline: {}\n  resumed : {}",
+                "{name}: the outcome diverged from the baseline after {crashes} crash(es)\n  \
+                 baseline: {}\n  faulted : {}",
                 last_line(&base_a.stdout),
                 last_line(&run.stdout)
             ));
-        } else {
+        } else if crashes > 0 {
             println!("chaos: {name}: resumed through {crashes} crash(es), bit-identical");
         }
     }
 
-    // Hard-down oracle: every retry and degradation path exhausts; the
-    // campaign must fail with a typed error (exit 2), never a panic.
-    {
-        let spec = "error,site=explain,every=1";
-        println!("chaos: hard-down ({spec})...");
-        let run = chaos_campaign_once(&dir.join("hard-down"), Some(spec));
-        if run.code != 2 {
-            failures.push(format!(
-                "hard-down: expected a typed campaign error (exit 2), got exit {} — {}",
-                run.code,
-                run.stderr.trim()
-            ));
-        }
-    }
-
     // Serving kinds: in-process drills of the `pace-serve` runtime (the
-    // campaign binary has no serving path). Each scenario runs twice under
+    // campaign process has no serving path). Each scenario runs twice under
     // the same spec and must be bit-identical; every rejection must be
     // typed; a corrupted hot-swap must be rejected with traffic unharmed.
     for (kind, spec) in [
@@ -1827,16 +1945,7 @@ fn chaos() -> ExitCode {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-    if failures.is_empty() {
-        println!("xtask chaos: full fault matrix OK");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("xtask chaos: {f}");
-        }
-        eprintln!("xtask chaos: {} failure(s)", failures.len());
-        ExitCode::FAILURE
-    }
+    Ok("xtask chaos: full fault matrix OK".into())
 }
 
 fn last_line(s: &str) -> &str {
@@ -1858,68 +1967,116 @@ const SERVE_DEADLINE: f64 = 0.1;
 /// swap-window phase, after the overload backlog has drained.
 fn serve_phases() -> [Phase; 5] {
     [
-        Phase {
-            name: "ramp",
-            duration: 0.5,
-            rate: 300.0,
-        },
-        Phase {
-            name: "rated",
-            duration: 1.0,
-            rate: 600.0,
-        },
-        Phase {
-            name: "overload",
-            duration: 1.5,
-            rate: 1200.0,
-        },
-        Phase {
-            name: "swap-window",
-            duration: 1.0,
-            rate: 600.0,
-        },
-        Phase {
-            name: "recovery",
-            duration: 1.0,
-            rate: 600.0,
-        },
+        phase("ramp", 0.5, 300.0),
+        phase("rated", 1.0, 600.0),
+        phase("overload", 1.5, 1200.0),
+        phase("swap-window", 1.0, 600.0),
+        phase("recovery", 1.0, 600.0),
     ]
 }
 
-/// Shared dataset/model/workload for the serving drills; model training
-/// dominates the setup cost, so it runs once per process.
-struct ServeFixture {
+fn phase(name: &'static str, duration: f64, rate: f64) -> Phase {
+    Phase {
+        name,
+        duration,
+        rate,
+    }
+}
+
+/// A trained serving fixture on tiny DMV: the dataset at `seed`, 200
+/// single-table history queries and then `test_len` labeled test queries
+/// from an RNG seeded `seed + 1`, a Linear model seeded `seed + 2` trained
+/// with that RNG, the first `pool_len` labeled history queries as the
+/// traffic pool, and 24 pinned validation queries. Model training
+/// dominates the set-up, so each gate builds its fixture once per process.
+struct Fixture {
     ds: Dataset,
     model: CeModel,
     pinned: Vec<PinnedQuery>,
     pool: Vec<Query>,
+    history: Vec<Query>,
+    test: Workload,
 }
 
-fn serve_fixture() -> &'static ServeFixture {
-    static FIXTURE: OnceLock<ServeFixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let ds = build(DatasetKind::Dmv, Scale::tiny(), 601);
+impl Fixture {
+    fn build(seed: u64, pool_len: usize, test_len: usize) -> Self {
+        let ds = build(DatasetKind::Dmv, Scale::tiny(), seed);
         let exec = Executor::new(&ds);
-        let mut rng = StdRng::seed_from_u64(602);
-        let labeled = exec.label_nonzero(generate_queries(
-            &ds,
-            &WorkloadSpec::single_table(),
-            &mut rng,
-            200,
-        ));
+        let mut rng = StdRng::seed_from_u64(seed + 1);
+        let spec = WorkloadSpec::single_table();
+        let history = generate_queries(&ds, &spec, &mut rng, 200);
+        let test = exec.label_nonzero(generate_queries(&ds, &spec, &mut rng, test_len));
+        let labeled = exec.label_nonzero(history.clone());
         let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
-        let mut model = CeModel::new(CeModelType::Linear, &ds, CeConfig::quick(), 603);
+        let mut model = CeModel::new(CeModelType::Linear, &ds, CeConfig::quick(), seed + 2);
         model
             .train(&data, &mut rng)
-            .expect("serve fixture model trains");
-        let pool = labeled.iter().take(32).map(|lq| lq.query.clone()).collect();
-        ServeFixture {
+            .expect("serving fixture model trains");
+        let pool = labeled
+            .iter()
+            .take(pool_len)
+            .map(|lq| lq.query.clone())
+            .collect();
+        Self {
             pinned: pinned_from_encoded(&data, 24),
             ds,
             model,
             pool,
+            history,
+            test,
         }
-    })
+    }
+
+    /// A server over this fixture's schema and pinned set, with the
+    /// 32-bucket histogram fallback and no snapshot installed.
+    fn server(&self, cfg: ServeConfig) -> Server {
+        Server::new(
+            cfg,
+            self.ds.schema.clone(),
+            self.pinned.clone(),
+            Some(HistogramEstimator::build(&self.ds, 32)),
+        )
+    }
+}
+
+/// The serving drills' fixture: seeds 601–603, a pool of 32, no test set.
+fn serve_fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| Fixture::build(601, 32, 0))
+}
+
+/// The reply contract every served reply must meet: an `Ok` estimate is
+/// finite, ≥ 0 and not completed before its request arrived; a shed saw a
+/// queue no deeper than `queue_cap`; a missed deadline is typed. Anything
+/// else is an un-typed rejection. Returns the violations.
+fn reply_contract(records: &[ReplyRecord], queue_cap: usize) -> Vec<String> {
+    let mut violations = Vec::new();
+    for r in records {
+        match &r.outcome {
+            Ok(reply) => {
+                if !(reply.estimate.is_finite() && reply.estimate >= 0.0) {
+                    violations.push(format!(
+                        "request {}: served estimate {} is outside [0, f64::MAX]",
+                        r.id, reply.estimate
+                    ));
+                }
+                if reply.completed_at < r.arrival {
+                    violations.push(format!("request {}: completed before it arrived", r.id));
+                }
+            }
+            Err(ServeError::Shed { depth }) => {
+                if *depth > queue_cap {
+                    violations.push(format!(
+                        "request {}: shed at depth {depth} above the cap {queue_cap}",
+                        r.id
+                    ));
+                }
+            }
+            Err(ServeError::DeadlineExceeded { .. }) => {}
+            Err(e) => violations.push(format!("request {}: un-typed rejection: {e}", r.id)),
+        }
+    }
+    violations
 }
 
 /// Everything one serving drill produced.
@@ -1931,63 +2088,50 @@ struct DrillRun {
     active: Option<u64>,
 }
 
-/// Runs the full five-phase drill at `threads` pool threads. Faults are
-/// scoped: the admission `overload` bursts are armed only while the
-/// overload phase's arrivals are generated, and `bad_update` is armed for
-/// the in-flight swaps (it fires once, corrupting v2; v3 passes clean).
-fn serve_drill(threads: usize) -> DrillRun {
-    use pace_tensor::pool;
+impl DrillRun {
+    /// Breaches of the reply contract, dropped requests, and a queue that
+    /// outgrew `queue_cap`.
+    fn violations(&self, queue_cap: usize) -> Vec<String> {
+        let mut v = reply_contract(&self.records, queue_cap);
+        if self.records.len() != self.requests {
+            v.push(format!(
+                "{} requests in, {} reply records out — a request was silently dropped",
+                self.requests,
+                self.records.len()
+            ));
+        }
+        if self.summary.max_queue_depth > queue_cap {
+            v.push(format!(
+                "queue depth reached {} — the {queue_cap} cap did not hold",
+                self.summary.max_queue_depth
+            ));
+        }
+        v
+    }
+}
+
+/// Installs the serving fixture's model as v1 on a fresh server configured
+/// by `cfg`, generates `traffic` (which arms its own faults), serves it
+/// with the model resubmitted at each `(at, version)` of `swaps`, and
+/// disarms every fault.
+fn drill(
+    cfg: ServeConfig,
+    traffic: impl FnOnce(&Fixture) -> Vec<Request>,
+    swaps: &[(f64, u64)],
+) -> DrillRun {
     let fx = serve_fixture();
-    pool::set_threads(threads);
     fault::install(None);
-    let mut srv = Server::new(
-        ServeConfig::default(),
-        fx.ds.schema.clone(),
-        fx.pinned.clone(),
-        Some(HistogramEstimator::build(&fx.ds, 32)),
-    );
+    let mut srv = fx.server(cfg);
     srv.try_swap(1, fx.model.clone())
         .expect("initial snapshot validates");
-
-    let mut requests: Vec<Request> = Vec::new();
-    let mut offset = 0.0;
-    for (i, ph) in serve_phases().iter().enumerate() {
-        let spec = (ph.name == "overload").then(|| {
-            FaultSpec::parse("overload,site=serve-admit,every=30").expect("valid overload spec")
-        });
-        fault::install(spec);
-        let mut chunk = pace_serve::generate(
-            std::slice::from_ref(ph),
-            &fx.pool,
-            700 + i as u64,
-            SERVE_DEADLINE,
-            requests.len() as u64,
-        );
-        for r in &mut chunk {
-            r.arrival += offset;
-            r.deadline += offset;
-        }
-        offset += ph.duration;
-        requests.append(&mut chunk);
-    }
-
-    fault::install(Some(
-        FaultSpec::parse("bad_update,site=serve-swap,at=1").expect("valid bad_update spec"),
-    ));
-    let swaps = vec![
-        SwapEvent {
-            at: 3.5,
-            version: 2,
-            model: fx.model.clone(),
-        },
-        SwapEvent {
-            at: 3.8,
-            version: 3,
-            model: fx.model.clone(),
-        },
-    ];
+    let requests = traffic(fx);
     let n = requests.len();
-    let records = srv.run(requests, swaps);
+    let swaps = swaps.iter().map(|&(at, version)| SwapEvent {
+        at,
+        version,
+        model: fx.model.clone(),
+    });
+    let records = srv.run(requests, swaps.collect());
     fault::install(None);
     DrillRun {
         requests: n,
@@ -1998,35 +2142,43 @@ fn serve_drill(threads: usize) -> DrillRun {
     }
 }
 
-/// First divergence between two reply sequences (bit-level on floats), or
-/// `None` when identical.
-fn records_diverge(a: &[ReplyRecord], b: &[ReplyRecord]) -> Option<String> {
-    if a.len() != b.len() {
-        return Some(format!("lengths differ: {} vs {}", a.len(), b.len()));
-    }
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        let same = x.id == y.id
-            && x.arrival.to_bits() == y.arrival.to_bits()
-            && match (&x.outcome, &y.outcome) {
-                (Ok(rx), Ok(ry)) => {
-                    rx.estimate.to_bits() == ry.estimate.to_bits()
-                        && rx.source == ry.source
-                        && rx.completed_at.to_bits() == ry.completed_at.to_bits()
-                }
-                (Err(ex), Err(ey)) => ex == ey,
-                _ => false,
-            };
-        if !same {
-            return Some(format!(
-                "record {i} (id {}) differs: {:?} vs {:?}",
-                x.id, x.outcome, y.outcome
-            ));
+/// Runs the full five-phase drill. Faults are scoped: the admission
+/// `overload` bursts are armed only while the overload phase's arrivals are
+/// generated, and `bad_update` is armed for the in-flight swaps (it fires
+/// once, corrupting v2; v3 passes clean).
+fn serve_drill() -> DrillRun {
+    let traffic = |fx: &Fixture| {
+        let mut requests: Vec<Request> = Vec::new();
+        let mut offset = 0.0;
+        for (i, ph) in serve_phases().iter().enumerate() {
+            let spec = (ph.name == "overload").then(|| {
+                FaultSpec::parse("overload,site=serve-admit,every=30").expect("valid overload spec")
+            });
+            fault::install(spec);
+            let mut chunk = pace_serve::generate(
+                std::slice::from_ref(ph),
+                &fx.pool,
+                700 + i as u64,
+                SERVE_DEADLINE,
+                requests.len() as u64,
+            );
+            for r in &mut chunk {
+                r.arrival += offset;
+                r.deadline += offset;
+            }
+            offset += ph.duration;
+            requests.append(&mut chunk);
         }
-    }
-    None
+        fault::install(Some(
+            FaultSpec::parse("bad_update,site=serve-swap,at=1").expect("valid bad_update spec"),
+        ));
+        requests
+    };
+    drill(ServeConfig::default(), traffic, &[(3.5, 2), (3.8, 3)])
 }
 
 /// Per-phase serving statistics, bucketed by request arrival time.
+#[derive(Default)]
 struct ServePhaseStats {
     name: &'static str,
     requests: usize,
@@ -2047,15 +2199,7 @@ fn serve_phase_stats(records: &[ReplyRecord]) -> Vec<ServePhaseStats> {
         let end = start + ph.duration;
         let mut s = ServePhaseStats {
             name: ph.name,
-            requests: 0,
-            ok: 0,
-            learned: 0,
-            fallback: 0,
-            shed: 0,
-            deadline_missed: 0,
-            p50_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
+            ..ServePhaseStats::default()
         };
         let mut lat: Vec<f64> = Vec::new();
         for r in records
@@ -2116,165 +2260,91 @@ fn serve_latency_histogram(records: &[ReplyRecord]) -> [u64; 8] {
     h
 }
 
-/// Writes the machine-readable `BENCH_serve.json` at the workspace root.
-fn write_serve_json(
-    path: &Path,
+/// The machine-readable `BENCH_serve.json`.
+fn serve_json(
     wall_s: f64,
     stats: &[ServePhaseStats],
     hist: &[u64; 8],
     run: &DrillRun,
     queue_cap: usize,
-) -> std::io::Result<()> {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"wall_s\": {wall_s:.6},\n"));
-    s.push_str(&format!(
-        "  \"virtual_s\": {:.3},\n",
-        pace_serve::total_duration(&serve_phases())
-    ));
-    s.push_str("  \"phases\": [");
-    for (i, p) in stats.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
+) -> Json {
+    let phases = stats.iter().map(|p| {
         let shed_rate = if p.requests == 0 {
             0.0
         } else {
             p.shed as f64 / p.requests as f64
         };
-        s.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"requests\": {}, \"ok\": {}, \"learned\": {}, \
-             \"fallback\": {}, \"shed\": {}, \"shed_rate\": {:.4}, \"deadline_missed\": {}, \
-             \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-            p.name,
-            p.requests,
-            p.ok,
-            p.learned,
-            p.fallback,
-            p.shed,
-            shed_rate,
-            p.deadline_missed,
-            p.p50_ms,
-            p.p95_ms,
-            p.p99_ms,
-        ));
-    }
-    s.push_str("\n  ],\n  \"latency_histogram_ms\": {");
-    for (i, count) in hist.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
+        Json::obj([
+            ("name", Json::str(p.name)),
+            ("requests", Json::int(p.requests)),
+            ("ok", Json::int(p.ok)),
+            ("learned", Json::int(p.learned)),
+            ("fallback", Json::int(p.fallback)),
+            ("shed", Json::int(p.shed)),
+            ("shed_rate", Json::num(shed_rate, 4)),
+            ("deadline_missed", Json::int(p.deadline_missed)),
+            ("p50_ms", Json::num(p.p50_ms, 3)),
+            ("p95_ms", Json::num(p.p95_ms, 3)),
+            ("p99_ms", Json::num(p.p99_ms, 3)),
+        ])
+    });
+    let last_edge = SERVE_LAT_BUCKETS_MS[SERVE_LAT_BUCKETS_MS.len() - 1];
+    let histogram = hist.iter().enumerate().map(|(i, count)| {
         let label = match SERVE_LAT_BUCKETS_MS.get(i) {
             Some(edge) => format!("le_{edge}"),
-            None => format!(
-                "gt_{}",
-                SERVE_LAT_BUCKETS_MS[SERVE_LAT_BUCKETS_MS.len() - 1]
-            ),
+            None => format!("gt_{last_edge}"),
         };
-        s.push_str(&format!("\n    \"{label}\": {count}"));
-    }
-    s.push_str("\n  },\n  \"swaps\": [");
-    for (i, sw) in run.swaps.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
+        (label, Json::int(count))
+    });
+    let swaps = run.swaps.iter().map(|sw| {
         let outcome = match &sw.result {
             Ok(()) => "installed".to_string(),
             Err(e) => format!("rejected: {e}"),
         };
-        s.push_str(&format!(
-            "\n    {{\"at\": {:.3}, \"version\": {}, \"outcome\": \"{outcome}\"}}",
-            sw.at, sw.version
-        ));
-    }
-    s.push_str("\n  ],\n");
-    s.push_str(&format!(
-        "  \"active_version\": {},\n",
-        run.active
-            .map_or_else(|| "null".to_string(), |v| v.to_string())
-    ));
-    s.push_str(&format!("  \"queue_cap\": {queue_cap},\n"));
-    s.push_str(&format!(
-        "  \"max_queue_depth\": {},\n",
-        run.summary.max_queue_depth
-    ));
-    s.push_str(&format!(
-        "  \"totals\": {{\"requests\": {}, \"shed\": {}, \"fallback_served\": {}, \
-         \"learned_served\": {}, \"deadline_missed\": {}, \"batches\": {}}}\n",
-        run.summary.requests,
-        run.summary.shed,
-        run.summary.fallback_served,
-        run.summary.learned_served,
-        run.summary.deadline_missed,
-        run.summary.batches,
-    ));
-    s.push_str("}\n");
-    std::fs::write(path, s)
+        Json::obj([
+            ("at", Json::num(sw.at, 3)),
+            ("version", Json::int(sw.version)),
+            ("outcome", Json::str(&outcome)),
+        ])
+    });
+    Json::obj([
+        ("wall_s", Json::num(wall_s, 6)),
+        (
+            "virtual_s",
+            Json::num(pace_serve::total_duration(&serve_phases()), 3),
+        ),
+        ("phases", Json::Arr(phases.collect())),
+        ("latency_histogram_ms", Json::Obj(histogram.collect())),
+        ("swaps", Json::Arr(swaps.collect())),
+        ("active_version", Json::opt(run.active)),
+        ("queue_cap", Json::int(queue_cap)),
+        ("max_queue_depth", Json::int(run.summary.max_queue_depth)),
+        ("totals", totals_json(&run.summary)),
+    ])
 }
 
-fn serve_report() -> ExitCode {
-    use pace_tensor::pool;
-    let root = workspace_root();
+fn serve_report(failures: &mut Vec<String>) -> Result<String, String> {
     let t0 = Instant::now();
-    let mut failures: Vec<String> = Vec::new();
 
     println!(
         "serve-report: five-phase drill (ramp -> rated -> 2x overload -> bad-update swap \
-         window -> recovery), ~5 s virtual time"
+         window -> recovery), ~5 s virtual time, at 1 thread, again, and at 8 threads"
     );
-    let run = serve_drill(1);
-    println!("serve-report: re-running at 1 thread and at 8 threads for bit-identity...");
-    let again = serve_drill(1);
-    let wide = serve_drill(8);
-    pool::set_threads(0);
-
-    if let Some(d) = records_diverge(&run.records, &again.records) {
-        failures.push(format!("determinism: two 1-thread runs diverge — {d}"));
-    }
-    if let Some(d) = records_diverge(&run.records, &wide.records) {
-        failures.push(format!(
-            "threads: 1-thread and 8-thread reply sequences diverge — {d}"
-        ));
-    }
-    if run.records.len() != run.requests {
-        failures.push(format!(
-            "{} requests in, {} reply records out — a request was silently dropped",
-            run.requests,
-            run.records.len()
-        ));
-    }
-
+    let mut first = None;
+    bit_identity(
+        "serve-report: reply sequence",
+        &cells(race::sched_seed(), &[1, 1, 8]),
+        failures,
+        |_| {
+            let run = serve_drill();
+            let words = reply_words(&run.records);
+            first.get_or_insert(run);
+            Ok(words)
+        },
+    );
+    let run = first.expect("the baseline drill ran");
     let queue_cap = ServeConfig::default().queue_cap;
-    for r in &run.records {
-        match &r.outcome {
-            Ok(reply) => {
-                if !(reply.estimate.is_finite() && reply.estimate >= 0.0) {
-                    failures.push(format!(
-                        "request {}: served estimate {} is outside [0, f64::MAX]",
-                        r.id, reply.estimate
-                    ));
-                }
-                if reply.completed_at < r.arrival {
-                    failures.push(format!("request {}: completed before it arrived", r.id));
-                }
-            }
-            Err(ServeError::Shed { depth }) => {
-                if *depth > queue_cap {
-                    failures.push(format!(
-                        "request {}: shed at depth {depth} above the cap {queue_cap}",
-                        r.id
-                    ));
-                }
-            }
-            Err(ServeError::DeadlineExceeded { .. }) => {}
-            Err(e) => failures.push(format!("request {}: unexpected rejection: {e}", r.id)),
-        }
-    }
-    if run.summary.max_queue_depth > queue_cap {
-        failures.push(format!(
-            "queue depth reached {} — the {queue_cap} cap did not hold",
-            run.summary.max_queue_depth
-        ));
-    }
+    failures.extend(run.violations(queue_cap));
 
     let stats = serve_phase_stats(&run.records);
     for p in &stats {
@@ -2309,36 +2379,23 @@ fn serve_report() -> ExitCode {
         }
     }
 
-    // Swap log: v1 installed pre-stream, corrupted v2 rejected, clean v3
-    // installed; zero failed well-formed requests around the swap window.
-    let expected = [(1u64, true), (2, false), (3, true)];
-    if run.swaps.len() != expected.len() {
+    // Swap log: v1 installed pre-stream, corrupted v2 rejected as
+    // non-finite, clean v3 installed and active; zero failed well-formed
+    // requests around the swap window.
+    let ledger: Vec<_> = run
+        .swaps
+        .iter()
+        .map(|sw| (sw.version, sw.result.clone()))
+        .collect();
+    let expected = [
+        (1, Ok(())),
+        (2, Err(SwapError::NonFiniteParams)),
+        (3, Ok(())),
+    ];
+    if ledger != expected || run.active != Some(3) {
         failures.push(format!(
-            "expected {} swap attempts, saw {}",
-            expected.len(),
-            run.swaps.len()
-        ));
-    } else {
-        for (&(version, ok), sw) in expected.iter().zip(&run.swaps) {
-            if sw.version != version || sw.result.is_ok() != ok {
-                failures.push(format!(
-                    "swap v{}: expected {}, got {:?}",
-                    sw.version,
-                    if ok { "install" } else { "rejection" },
-                    sw.result
-                ));
-            }
-        }
-        if run.swaps[1].result != Err(SwapError::NonFiniteParams) {
-            failures.push(format!(
-                "corrupted v2 rejected for the wrong reason: {:?}",
-                run.swaps[1].result
-            ));
-        }
-    }
-    if run.active != Some(3) {
-        failures.push(format!(
-            "active version after the drill is {:?}, expected v3",
+            "swap ledger {ledger:?} leaves {:?} active; expected v1 installed, v2 rejected \
+             as NonFiniteParams, and v3 installed and active",
             run.active
         ));
     }
@@ -2415,12 +2472,7 @@ fn serve_report() -> ExitCode {
         trace::install(Some(trace_path.clone()));
         let swaps_before = trace::SERVE_SWAPS.get();
         let force_before = trace::SERVE_FORCE_INSTALLS.get();
-        let mut srv = Server::new(
-            ServeConfig::default(),
-            fx.ds.schema.clone(),
-            fx.pinned.clone(),
-            Some(HistogramEstimator::build(&fx.ds, 32)),
-        );
+        let mut srv = fx.server(ServeConfig::default());
         srv.force_install(9, fx.model.clone());
         let swap_delta = trace::SERVE_SWAPS.get() - swaps_before;
         let force_delta = trace::SERVE_FORCE_INSTALLS.get() - force_before;
@@ -2441,83 +2493,31 @@ fn serve_report() -> ExitCode {
     }
 
     let hist = serve_latency_histogram(&run.records);
-    let path = root.join("BENCH_serve.json");
-    match write_serve_json(
-        &path,
-        t0.elapsed().as_secs_f64(),
-        &stats,
-        &hist,
-        &run,
-        queue_cap,
-    ) {
-        Ok(()) => println!("serve-report: wrote {}", path.display()),
-        Err(e) => failures.push(format!("cannot write {}: {e}", path.display())),
-    }
-
-    if failures.is_empty() {
-        println!(
-            "serve-report: all gates OK ({} requests, {} batches, {} sheds, bit-identical at \
-             1 and 8 threads)",
-            run.summary.requests, run.summary.batches, run.summary.shed
-        );
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("xtask serve-report: {f}");
-        }
-        eprintln!("xtask serve-report: {} failure(s)", failures.len());
-        ExitCode::FAILURE
-    }
+    serve_json(t0.elapsed().as_secs_f64(), &stats, &hist, &run, queue_cap)
+        .write("BENCH_serve.json", failures);
+    Ok(format!(
+        "serve-report: all gates OK ({} requests, {} batches, {} sheds, bit-identical at 1 and \
+         8 threads)",
+        run.summary.requests, run.summary.batches, run.summary.shed
+    ))
 }
 
 /// One in-process serving chaos run: rated then stressed traffic with a
 /// v2 hot-swap attempt mid-stream, under `spec`.
 fn serve_chaos_once(spec: &str, stress_rate: f64) -> DrillRun {
-    let fx = serve_fixture();
-    fault::install(None);
     let cfg = ServeConfig {
         queue_cap: 32,
         ..ServeConfig::default()
     };
-    let mut srv = Server::new(
-        cfg,
-        fx.ds.schema.clone(),
-        fx.pinned.clone(),
-        Some(HistogramEstimator::build(&fx.ds, 32)),
-    );
-    srv.try_swap(1, fx.model.clone())
-        .expect("initial snapshot validates");
-    fault::install(Some(FaultSpec::parse(spec).expect("valid serving spec")));
     let phases = [
-        Phase {
-            name: "rated",
-            duration: 0.3,
-            rate: 600.0,
-        },
-        Phase {
-            name: "stress",
-            duration: 0.3,
-            rate: stress_rate,
-        },
+        phase("rated", 0.3, 600.0),
+        phase("stress", 0.3, stress_rate),
     ];
-    let requests = pace_serve::generate(&phases, &fx.pool, 811, 0.08, 0);
-    let n = requests.len();
-    let records = srv.run(
-        requests,
-        vec![SwapEvent {
-            at: 0.45,
-            version: 2,
-            model: fx.model.clone(),
-        }],
-    );
-    fault::install(None);
-    DrillRun {
-        requests: n,
-        records,
-        summary: srv.summary().clone(),
-        swaps: srv.swap_log().to_vec(),
-        active: srv.snapshots().active_version(),
-    }
+    let traffic = |fx: &Fixture| {
+        fault::install(Some(FaultSpec::parse(spec).expect("valid serving spec")));
+        pace_serve::generate(&phases, &fx.pool, 811, 0.08, 0)
+    };
+    drill(cfg, traffic, &[(0.45, 2)])
 }
 
 /// Checks one serving fault kind end to end: two bit-identical runs, typed
@@ -2526,42 +2526,28 @@ fn serve_chaos_scenario(kind: &str, spec: &str) -> Result<String, String> {
     // The bad-update scenario stays at rated load so the swap rejection is
     // observed with zero collateral rejections; the others stress at 2.5×.
     let stress_rate = if kind == "bad_update" { 600.0 } else { 1500.0 };
-    let a = serve_chaos_once(spec, stress_rate);
-    let b = serve_chaos_once(spec, stress_rate);
-    if let Some(d) = records_diverge(&a.records, &b.records) {
-        return Err(format!("two runs under the same spec diverge — {d}"));
-    }
-    if a.records.len() != a.requests {
-        return Err(format!(
-            "{} requests in, {} records out — silent drop",
-            a.requests,
-            a.records.len()
-        ));
-    }
-    for r in &a.records {
-        match &r.outcome {
-            Ok(reply) if reply.estimate.is_finite() && reply.estimate >= 0.0 => {}
-            Ok(reply) => {
-                return Err(format!(
-                    "request {}: served estimate {} is outside [0, f64::MAX]",
-                    r.id, reply.estimate
-                ))
-            }
-            Err(ServeError::Shed { depth }) if *depth <= 32 => {}
-            Err(ServeError::DeadlineExceeded { .. }) => {}
-            Err(e) => return Err(format!("request {}: unexpected rejection: {e}", r.id)),
-        }
+    let mut failures = Vec::new();
+    let mut first = None;
+    bit_identity(
+        &format!("chaos: serve {kind}"),
+        &cells(race::sched_seed(), &[pool::threads(); 2]),
+        &mut failures,
+        |_| {
+            let run = serve_chaos_once(spec, stress_rate);
+            let words = reply_words(&run.records);
+            first.get_or_insert(run);
+            Ok(words)
+        },
+    );
+    let a = first.expect("the baseline drill ran");
+    failures.extend(a.violations(32));
+    if let Some(f) = failures.first() {
+        return Err(f.clone());
     }
     match kind {
         "overload" => {
             if a.summary.shed == 0 {
                 return Err("expected typed sheds under burst overload, saw none".into());
-            }
-            if a.summary.max_queue_depth > 32 {
-                return Err(format!(
-                    "queue depth {} exceeded the cap",
-                    a.summary.max_queue_depth
-                ));
             }
             if a.active != Some(2) {
                 return Err(format!(
@@ -2608,153 +2594,149 @@ fn serve_chaos_scenario(kind: &str, spec: &str) -> Result<String, String> {
     }
 }
 
-/// One in-process served-campaign chaos run: a quick `Random` poison
-/// campaign through the hot-swap serving path with the wave-1 candidate
-/// corrupted mid-swap and admission overload bursts armed throughout.
-/// Returns the attack outcome plus the serving-side ledgers.
-fn served_campaign_chaos_once(
-    tag: &str,
-) -> Result<(AttackOutcome, Vec<ReplyRecord>, ServeSummary, Option<u64>), String> {
+/// One served campaign, as the chaos scenario and the defense drill run
+/// it: the attack outcome and the serving side's ledgers.
+struct ServedRun {
+    outcome: AttackOutcome,
+    replies: Vec<ReplyRecord>,
+    summary: ServeSummary,
+    active: Option<u64>,
+}
+
+impl ServedRun {
+    /// The campaign's image and its reply log's.
+    fn image(&self) -> Vec<u64> {
+        let mut words = outcome_words(&self.outcome);
+        words.extend(reply_words(&self.replies));
+        words
+    }
+}
+
+/// Serves the defense fixture's model through a server configured by
+/// `serve_cfg` amid `traffic`, arms `faults` (if any) once the clean
+/// install is done, runs a quick `method` campaign with the `surrogate`
+/// type through the hot-swap path, and requires the finished campaign to
+/// remove its manifest.
+fn served_run(
+    serve_cfg: ServeConfig,
+    traffic: ServedTraffic,
+    faults: Option<&str>,
+    method: AttackMethod,
+    surrogate: Option<CeModelType>,
+    manifest: &str,
+) -> Result<ServedRun, String> {
     let fx = defense_fixture();
     fault::install(None);
-    // A tight admission queue: the injected same-instant bursts (24
-    // arrivals) nearly fill it, so overload pressure is actually observed
-    // during the waves.
-    let server = Server::new(
-        ServeConfig {
-            queue_cap: 32,
-            ..ServeConfig::default()
-        },
-        fx.ds.schema.clone(),
-        fx.pinned.clone(),
-        Some(HistogramEstimator::build(&fx.ds, 32)),
-    );
-    // Near-capacity background traffic: the runtime serves ~1080 req/s, so
-    // at 900 req/s the injected bursts overflow the tight queue instead of
-    // being absorbed by headroom.
-    let mut traffic = ServedTraffic::new(fx.pool.clone(), 907);
-    traffic.rate = 900.0;
     let mut served = ServedVictim::new(
-        server,
+        fx.server(serve_cfg),
         fx.model.clone(),
         Executor::new(&fx.ds),
         fx.history.clone(),
         traffic,
     )
-    .map_err(|e| format!("clean install failed shadow validation: {e}"))?;
-    // Armed *after* construction, so serve-swap site visits count from the
-    // waves: visit 1 is wave 0's swap, visit 2 is wave 1's — which the
-    // fault corrupts just before shadow validation. The overload bursts
-    // hit every wave's background-traffic admission.
-    fault::install(Some(
-        FaultSpec::parse("bad_update,site=serve-swap,at=2;overload,site=serve-admit,every=25")
-            .expect("valid chaos spec"),
-    ));
+    .map_err(|e| format!("the clean model failed shadow validation: {e}"))?;
+    fault::install(faults.map(|f| FaultSpec::parse(f).expect("valid served-campaign spec")));
     let k = AttackerKnowledge::from_public(&fx.ds, WorkloadSpec::single_table());
-    let cfg = PipelineConfig::quick();
-    let manifest = std::env::temp_dir().join(format!(
-        "pace-chaos-served-{}-{tag}.campaign",
-        std::process::id()
-    ));
-    let out = run_served_campaign(
-        &mut served,
-        AttackMethod::Random,
-        &fx.test,
-        &k,
-        &cfg,
-        &manifest,
-    );
+    let manifest =
+        std::env::temp_dir().join(format!("pace-{manifest}-{}.campaign", std::process::id()));
+    let cfg = PipelineConfig {
+        surrogate_type: surrogate,
+        ..PipelineConfig::quick()
+    };
+    let out = run_served_campaign(&mut served, method, &fx.test, &k, &cfg, &manifest);
     fault::install(None);
-    let out = out.map_err(|e| format!("served campaign failed under chaos: {e}"))?;
+    let outcome = out.map_err(|e| format!("served campaign failed: {e}"))?;
     if manifest.exists() {
         let _ = std::fs::remove_file(&manifest);
         return Err("completed campaign left its manifest behind".into());
     }
-    Ok((
-        out,
-        served.replies(),
-        served.summary(),
-        served.active_version(),
-    ))
+    Ok(ServedRun {
+        outcome,
+        replies: served.replies(),
+        summary: served.summary(),
+        active: served.active_version(),
+    })
 }
 
-/// The served-campaign chaos scenario: two identical runs under the
-/// combined bad-update + overload spec must be bit-identical (swap ledger,
-/// reply log, and attack measurements), the corrupted wave must be
-/// rejected and rolled back while the other waves land, backpressure must
-/// actually be observed, and every reply must be typed.
+/// The served-campaign chaos scenario: a quick `Random` poison campaign
+/// through the hot-swap serving path with the wave-1 candidate corrupted
+/// mid-swap and admission overload bursts armed throughout. Two identical
+/// runs must be bit-identical (swap ledger, reply log, and attack
+/// measurements), the corrupted wave must be rejected and rolled back while
+/// the other waves land, backpressure must actually be observed, and every
+/// reply must be typed.
 fn served_campaign_chaos_scenario() -> Result<String, String> {
-    let (a, replies_a, summary_a, active_a) = served_campaign_chaos_once("a")?;
-    let (b, replies_b, _, _) = served_campaign_chaos_once("b")?;
-    if a.swaps != b.swaps {
-        return Err(format!(
-            "two runs under the same spec produce different swap ledgers:\n  a: {:?}\n  b: {:?}",
-            a.swaps, b.swaps
-        ));
+    let mut failures = Vec::new();
+    let mut first = None;
+    bit_identity(
+        "chaos: served campaign",
+        &cells(race::sched_seed(), &[pool::threads(); 2]),
+        &mut failures,
+        |i| {
+            // A tight admission queue: the injected same-instant bursts (24
+            // arrivals) nearly fill it, so overload pressure is actually
+            // observed during the waves. Near-capacity background traffic: the
+            // runtime serves ~1080 req/s, so at 900 req/s the bursts overflow
+            // the tight queue instead of being absorbed by headroom.
+            let serve_cfg = ServeConfig {
+                queue_cap: 32,
+                ..ServeConfig::default()
+            };
+            let mut traffic = ServedTraffic::new(defense_fixture().pool.clone(), 907);
+            traffic.rate = 900.0;
+            // Armed after the clean install, so serve-swap site visits count
+            // from the waves: visit 1 is wave 0's swap, visit 2 is wave 1's —
+            // which the fault corrupts just before shadow validation. The
+            // overload bursts hit every wave's background-traffic admission.
+            let faults = "bad_update,site=serve-swap,at=2;overload,site=serve-admit,every=25";
+            let random = AttackMethod::Random;
+            let run = served_run(
+                serve_cfg,
+                traffic,
+                Some(faults),
+                random,
+                None,
+                &format!("chaos-{i}"),
+            )?;
+            let words = run.image();
+            first.get_or_insert(run);
+            Ok(words)
+        },
+    );
+    failures.extend(first.iter().flat_map(|a| reply_contract(&a.replies, 32)));
+    if let Some(f) = failures.first() {
+        return Err(f.clone());
     }
-    if let Some(d) = records_diverge(&replies_a, &replies_b) {
-        return Err(format!("two runs under the same spec diverge — {d}"));
-    }
-    if a.poisoned.mean.to_bits() != b.poisoned.mean.to_bits()
-        || a.divergence.to_bits() != b.divergence.to_bits()
-    {
-        return Err("attack measurements differ between two identical runs".into());
-    }
-
-    let waves = a.swaps.len();
-    if waves < 3 {
-        return Err(format!("expected at least 3 waves, saw {waves}"));
-    }
-    match a.swaps.get(1).map(|s| &s.result) {
-        Some(Err(SwapError::NonFiniteParams)) => {}
-        other => {
-            return Err(format!(
-                "corrupted wave-1 candidate was not rejected as NonFiniteParams: {other:?}"
-            ))
-        }
-    }
-    let accepted = a.swaps.iter().filter(|s| s.result.is_ok()).count();
-    if accepted != waves - 1 {
-        return Err(format!(
-            "expected every wave but the corrupted one to land, got {accepted} of {waves}: {:?}",
-            a.swaps
-        ));
-    }
-    let last_accepted = a
-        .swaps
+    let a = first.expect("the baseline campaign ran");
+    let swaps = &a.outcome.swaps;
+    let waves = swaps.len();
+    let rejected: Vec<_> = swaps
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.result.is_err())
+        .map(|(i, s)| (i, s.result.clone()))
+        .collect();
+    let last_accepted = swaps
         .iter()
         .filter(|s| s.result.is_ok())
         .map(|s| s.version)
         .max();
-    if active_a != last_accepted {
+    if waves < 3 || rejected != [(1, Err(SwapError::NonFiniteParams))] || a.active != last_accepted
+    {
         return Err(format!(
-            "active version {active_a:?} is not the last accepted {last_accepted:?} — \
-             the rejected wave was not rolled back cleanly"
+            "expected 3 or more waves, wave 1 alone rejected as NonFiniteParams and rolled \
+             back, and the last accepted version active; got {swaps:?} with {:?} active",
+            a.active
         ));
     }
-
-    let queue_cap = 32; // must match the scenario's ServeConfig
-    for r in &replies_a {
-        match &r.outcome {
-            Ok(reply) if reply.estimate.is_finite() && reply.estimate >= 0.0 => {}
-            Ok(reply) => {
-                return Err(format!(
-                    "request {}: served estimate {} is outside [0, f64::MAX]",
-                    r.id, reply.estimate
-                ))
-            }
-            Err(ServeError::Shed { depth }) if *depth <= queue_cap => {}
-            Err(ServeError::DeadlineExceeded { .. }) => {}
-            Err(e) => return Err(format!("request {}: un-typed rejection: {e}", r.id)),
-        }
-    }
-    let pressured = summary_a.shed + summary_a.fallback_served + summary_a.deadline_missed;
+    let pressured = a.summary.shed + a.summary.fallback_served + a.summary.deadline_missed;
     if pressured == 0 {
         return Err("overload bursts produced no backpressure at all".into());
     }
     Ok(format!(
-        "wave 1 rejected and rolled back, {accepted} of {waves} waves landed, \
-         {pressured} pressured replies, bit-identical"
+        "wave 1 rejected and rolled back, {} of {waves} waves landed, {pressured} pressured \
+         replies, bit-identical",
+        waves - 1
     ))
 }
 
@@ -2770,243 +2752,114 @@ fn served_campaign_chaos_scenario() -> Result<String, String> {
 /// campaign.
 const DEFENSE_QERR_MARGIN: f64 = 2.0;
 
-/// Shared dataset/model/workloads of the defense drill and the served
-/// chaos scenario; model training dominates setup, so it runs once.
-struct DefenseFixture {
-    ds: Dataset,
-    model: CeModel,
-    pinned: Vec<PinnedQuery>,
-    pool: Vec<Query>,
-    history: Vec<Query>,
-    test: Workload,
-    /// The clean model's own median q-error on the pinned set.
+/// The defense drill's and the served chaos scenario's fixture: seeds
+/// 901–903, a pool of 24, 60 test queries.
+fn defense_fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| Fixture::build(901, 24, 60))
+}
+
+/// A swap verdict as the defense ledger prints it.
+fn verdict(result: &Result<(), SwapError>) -> String {
+    result
+        .as_ref()
+        .map_or_else(ToString::to_string, |()| "installed".into())
+}
+
+/// The machine-readable `BENCH_defense.json`.
+fn defense_json(
+    wall_s: f64,
     honest_median: f64,
-    /// `honest_median × DEFENSE_QERR_MARGIN` — the drill's swap limit.
     qerr_limit: f64,
-}
-
-fn defense_fixture() -> &'static DefenseFixture {
-    static FIXTURE: OnceLock<DefenseFixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let ds = build(DatasetKind::Dmv, Scale::tiny(), 901);
-        let exec = Executor::new(&ds);
-        let mut rng = StdRng::seed_from_u64(902);
-        let spec = WorkloadSpec::single_table();
-        let history = generate_queries(&ds, &spec, &mut rng, 200);
-        let test = exec.label_nonzero(generate_queries(&ds, &spec, &mut rng, 60));
-        let labeled = exec.label_nonzero(history.clone());
-        let data = EncodedWorkload::from_workload(&QueryEncoder::new(&ds), &labeled);
-        let mut model = CeModel::new(CeModelType::Linear, &ds, CeConfig::quick(), 903);
-        model
-            .train(&data, &mut rng)
-            .expect("defense fixture model trains");
-        let pinned = pinned_from_encoded(&data, 24);
-        let honest_median = SnapshotStore::new(pinned.clone(), 1e6, 3).shadow_median_qerr(&model);
-        let pool = labeled.iter().take(24).map(|lq| lq.query.clone()).collect();
-        DefenseFixture {
-            ds,
-            model,
-            pinned,
-            pool,
-            history,
-            test,
-            honest_median,
-            qerr_limit: honest_median * DEFENSE_QERR_MARGIN,
-        }
-    })
-}
-
-/// Everything one defense drill produced.
-struct DefenseRun {
-    outcome: AttackOutcome,
-    replies: Vec<ReplyRecord>,
-    summary: ServeSummary,
-    active: Option<u64>,
-}
-
-/// Runs the full PACE campaign through the serving path at `threads` pool
-/// threads, with the swap gate pinned to the fixture's q-error limit.
-fn defense_drill(threads: usize, tag: &str) -> Result<DefenseRun, String> {
-    use pace_tensor::pool;
-    let fx = defense_fixture();
-    pool::set_threads(threads);
-    fault::install(None);
-    let serve_cfg = ServeConfig {
-        swap_qerr_limit: fx.qerr_limit,
-        ..ServeConfig::default()
+    run: &ServedRun,
+    accepted: usize,
+    rejected_by_probe: usize,
+) -> Json {
+    let waves = run.outcome.swaps.iter().map(|sw| {
+        Json::obj([
+            ("wave", Json::int(sw.wave)),
+            ("version", Json::int(sw.version)),
+            ("at", Json::num(sw.at, 6)),
+            ("class", Json::str(sw.class())),
+            ("detail", Json::str(&verdict(&sw.result))),
+        ])
+    });
+    let summary = |s: &QErrorSummary| {
+        Json::obj([
+            ("mean", Json::num(s.mean, 6)),
+            ("median", Json::num(s.median, 6)),
+            ("p95", Json::num(s.p95, 6)),
+        ])
     };
-    let server = Server::new(
-        serve_cfg,
-        fx.ds.schema.clone(),
-        fx.pinned.clone(),
-        Some(HistogramEstimator::build(&fx.ds, 32)),
+    let wave_count = run.outcome.swaps.len().max(1);
+    Json::obj([
+        ("wall_s", Json::num(wall_s, 6)),
+        ("honest_median_qerr", Json::num(honest_median, 6)),
+        ("swap_qerr_limit", Json::num(qerr_limit, 6)),
+        ("waves", Json::Arr(waves.collect())),
+        ("accepted", Json::int(accepted)),
+        ("rejected_by_probe", Json::int(rejected_by_probe)),
+        (
+            "rejection_fraction",
+            Json::num(rejected_by_probe as f64 / wave_count as f64, 4),
+        ),
+        ("clean", summary(&run.outcome.clean)),
+        ("poisoned", summary(&run.outcome.poisoned)),
+        ("divergence", Json::num(run.outcome.divergence, 6)),
+        ("active_version", Json::opt(run.active)),
+        ("totals", totals_json(&run.summary)),
+    ])
+}
+
+fn defense_report(failures: &mut Vec<String>) -> Result<String, String> {
+    let t0 = Instant::now();
+
+    println!(
+        "defense-report: Lb-S poison campaign through the validated hot-swap serving path \
+         (swap limit = clean median × {DEFENSE_QERR_MARGIN}), at 1 thread, again, and at 8 \
+         threads"
     );
-    let mut served = ServedVictim::new(
-        server,
-        fx.model.clone(),
-        Executor::new(&fx.ds),
-        fx.history.clone(),
-        ServedTraffic::new(fx.pool.clone(), 905),
-    )
-    .map_err(|e| format!("clean model failed its own shadow validation: {e}"))?;
-    let k = AttackerKnowledge::from_public(&fx.ds, WorkloadSpec::single_table());
+    let fx = defense_fixture();
+    let honest_median = SnapshotStore::new(fx.pinned.clone(), 1e6, 3).shadow_median_qerr(&fx.model);
+    let qerr_limit = honest_median * DEFENSE_QERR_MARGIN;
     // Lb-S, not full PACE: one PACE wave alone pushes the pinned median
     // ~15× past the honest score, so every wave would be rejected and the
     // report would measure nothing. Lb-S degrades cumulatively — poison
     // lands until the accumulated damage trips the probe. The surrogate
     // type is fixed: speculation's behavioral-similarity probes add
     // nothing to the defense measurement.
-    let cfg = PipelineConfig {
-        surrogate_type: Some(CeModelType::Linear),
-        ..PipelineConfig::quick()
-    };
-    let manifest = std::env::temp_dir().join(format!(
-        "pace-defense-{}-{tag}.campaign",
-        std::process::id()
-    ));
-    let outcome = run_served_campaign(
-        &mut served,
-        AttackMethod::LbS,
-        &fx.test,
-        &k,
-        &cfg,
-        &manifest,
-    )
-    .map_err(|e| format!("served campaign failed: {e}"))?;
-    if manifest.exists() {
-        let _ = std::fs::remove_file(&manifest);
-        return Err("completed campaign left its manifest behind".into());
-    }
-    Ok(DefenseRun {
-        outcome,
-        replies: served.replies(),
-        summary: served.summary(),
-        active: served.active_version(),
-    })
-}
-
-/// Writes the machine-readable `BENCH_defense.json` at the workspace root.
-fn write_defense_json(
-    path: &Path,
-    wall_s: f64,
-    run: &DefenseRun,
-    accepted: usize,
-    rejected_by_probe: usize,
-) -> std::io::Result<()> {
-    let fx = defense_fixture();
-    let waves = run.outcome.swaps.len().max(1);
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"wall_s\": {wall_s:.6},\n"));
-    s.push_str(&format!(
-        "  \"honest_median_qerr\": {:.6},\n",
-        fx.honest_median
-    ));
-    s.push_str(&format!("  \"swap_qerr_limit\": {:.6},\n", fx.qerr_limit));
-    s.push_str("  \"waves\": [");
-    for (i, sw) in run.outcome.swaps.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let detail = match &sw.result {
-            Ok(()) => "installed".to_string(),
-            Err(e) => format!("{e}"),
-        };
-        s.push_str(&format!(
-            "\n    {{\"wave\": {}, \"version\": {}, \"at\": {:.6}, \"class\": \"{}\", \
-             \"detail\": \"{detail}\"}}",
-            sw.wave,
-            sw.version,
-            sw.at,
-            sw.class()
-        ));
-    }
-    s.push_str("\n  ],\n");
-    s.push_str(&format!("  \"accepted\": {accepted},\n"));
-    s.push_str(&format!("  \"rejected_by_probe\": {rejected_by_probe},\n"));
-    s.push_str(&format!(
-        "  \"rejection_fraction\": {:.4},\n",
-        rejected_by_probe as f64 / waves as f64
-    ));
-    s.push_str(&format!(
-        "  \"clean\": {{\"mean\": {:.6}, \"median\": {:.6}, \"p95\": {:.6}}},\n",
-        run.outcome.clean.mean, run.outcome.clean.median, run.outcome.clean.p95
-    ));
-    s.push_str(&format!(
-        "  \"poisoned\": {{\"mean\": {:.6}, \"median\": {:.6}, \"p95\": {:.6}}},\n",
-        run.outcome.poisoned.mean, run.outcome.poisoned.median, run.outcome.poisoned.p95
-    ));
-    s.push_str(&format!(
-        "  \"divergence\": {:.6},\n",
-        run.outcome.divergence
-    ));
-    s.push_str(&format!(
-        "  \"active_version\": {},\n",
-        run.active
-            .map_or_else(|| "null".to_string(), |v| v.to_string())
-    ));
-    s.push_str(&format!(
-        "  \"totals\": {{\"requests\": {}, \"shed\": {}, \"fallback_served\": {}, \
-         \"learned_served\": {}, \"deadline_missed\": {}, \"batches\": {}}}\n",
-        run.summary.requests,
-        run.summary.shed,
-        run.summary.fallback_served,
-        run.summary.learned_served,
-        run.summary.deadline_missed,
-        run.summary.batches,
-    ));
-    s.push_str("}\n");
-    std::fs::write(path, s)
-}
-
-fn defense_report() -> ExitCode {
-    use pace_tensor::pool;
-    let root = workspace_root();
-    let t0 = Instant::now();
-    let mut failures: Vec<String> = Vec::new();
-
-    println!(
-        "defense-report: Lb-S poison campaign through the validated hot-swap serving path \
-         (swap limit = clean median × {DEFENSE_QERR_MARGIN})"
+    let mut first = None;
+    bit_identity(
+        "defense-report: served campaign",
+        &cells(race::sched_seed(), &[1, 1, 8]),
+        failures,
+        |i| {
+            let serve_cfg = ServeConfig {
+                swap_qerr_limit: qerr_limit,
+                ..ServeConfig::default()
+            };
+            let traffic = ServedTraffic::new(fx.pool.clone(), 905);
+            let (lb_s, linear) = (AttackMethod::LbS, Some(CeModelType::Linear));
+            let run = served_run(
+                serve_cfg,
+                traffic,
+                None,
+                lb_s,
+                linear,
+                &format!("defense-{i}"),
+            )?;
+            let words = run.image();
+            first.get_or_insert(run);
+            Ok(words)
+        },
     );
-    let run = match defense_drill(1, "a") {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xtask defense-report: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = first else {
+        return Ok(String::new()); // the harness reported the failed baseline
     };
-    println!("defense-report: re-running at 1 thread and at 8 threads for bit-identity...");
-    let again = defense_drill(1, "b");
-    let wide = defense_drill(8, "c");
-    pool::set_threads(0);
-
-    for (label, other) in [("two 1-thread runs", again), ("1 vs 8 threads", wide)] {
-        match other {
-            Ok(o) => {
-                if o.outcome.swaps != run.outcome.swaps {
-                    failures.push(format!(
-                        "{label}: swap ledgers diverge:\n  a: {:?}\n  b: {:?}",
-                        run.outcome.swaps, o.outcome.swaps
-                    ));
-                }
-                if let Some(d) = records_diverge(&run.replies, &o.replies) {
-                    failures.push(format!("{label}: reply sequences diverge — {d}"));
-                }
-                if run.outcome.poisoned.mean.to_bits() != o.outcome.poisoned.mean.to_bits()
-                    || run.outcome.divergence.to_bits() != o.outcome.divergence.to_bits()
-                {
-                    failures.push(format!("{label}: attack measurements diverge"));
-                }
-                if run.outcome.poison != o.outcome.poison {
-                    failures.push(format!("{label}: crafted poison batches diverge"));
-                }
-            }
-            Err(e) => failures.push(format!("{label}: {e}")),
-        }
-    }
 
     // Every wave must have reached a typed swap verdict, in order.
-    for (w, sw) in run.outcome.swaps.iter().enumerate() {
+    let swaps = &run.outcome.swaps;
+    for (w, sw) in swaps.iter().enumerate() {
         if sw.wave != w as u64 || sw.version != 2 + w as u64 {
             failures.push(format!(
                 "wave {w}: ledger entry out of order (wave {}, version {})",
@@ -3014,16 +2867,9 @@ fn defense_report() -> ExitCode {
             ));
         }
     }
-    let waves = run.outcome.swaps.len();
-    let accepted = run
-        .outcome
-        .swaps
-        .iter()
-        .filter(|s| s.result.is_ok())
-        .count();
-    let rejected_by_probe = run
-        .outcome
-        .swaps
+    let waves = swaps.len();
+    let accepted = swaps.iter().filter(|s| s.result.is_ok()).count();
+    let rejected_by_probe = swaps
         .iter()
         .filter(|s| s.class() == "rejected-by-probe")
         .count();
@@ -3044,9 +2890,7 @@ fn defense_report() -> ExitCode {
                 .into(),
         );
     }
-    let last_accepted = run
-        .outcome
-        .swaps
+    let last_accepted = swaps
         .iter()
         .filter(|s| s.result.is_ok())
         .map(|s| s.version)
@@ -3060,37 +2904,21 @@ fn defense_report() -> ExitCode {
 
     // Zero un-typed failures: every reply is Ok or a typed, in-contract
     // rejection.
-    let queue_cap = ServeConfig::default().queue_cap;
-    for r in &run.replies {
-        match &r.outcome {
-            Ok(reply) if reply.estimate.is_finite() && reply.estimate >= 0.0 => {}
-            Ok(reply) => failures.push(format!(
-                "request {}: served estimate {} is outside [0, f64::MAX]",
-                r.id, reply.estimate
-            )),
-            Err(ServeError::Shed { depth }) if *depth <= queue_cap => {}
-            Err(ServeError::DeadlineExceeded { .. }) => {}
-            Err(e) => failures.push(format!("request {}: un-typed rejection: {e}", r.id)),
-        }
-    }
+    failures.extend(reply_contract(
+        &run.replies,
+        ServeConfig::default().queue_cap,
+    ));
 
-    let fx = defense_fixture();
-    println!(
-        "defense-report: clean pinned median {:.3}, swap limit {:.3}",
-        fx.honest_median, fx.qerr_limit
-    );
+    println!("defense-report: clean pinned median {honest_median:.3}, swap limit {qerr_limit:.3}");
     println!("defense-report: wave ledger:");
-    for sw in &run.outcome.swaps {
-        let detail = match &sw.result {
-            Ok(()) => "installed".to_string(),
-            Err(e) => format!("{e}"),
-        };
+    for sw in swaps {
         println!(
-            "  wave {} v{} at {:.3}s: {} ({detail})",
+            "  wave {} v{} at {:.3}s: {} ({})",
             sw.wave,
             sw.version,
             sw.at,
-            sw.class()
+            sw.class(),
+            verdict(&sw.result)
         );
     }
     println!(
@@ -3102,32 +2930,20 @@ fn defense_report() -> ExitCode {
             .map_or_else(|| "none".to_string(), |v| format!("v{v}"))
     );
 
-    let path = root.join("BENCH_defense.json");
-    match write_defense_json(
-        &path,
+    defense_json(
         t0.elapsed().as_secs_f64(),
+        honest_median,
+        qerr_limit,
         &run,
         accepted,
         rejected_by_probe,
-    ) {
-        Ok(()) => println!("defense-report: wrote {}", path.display()),
-        Err(e) => failures.push(format!("cannot write {}: {e}", path.display())),
-    }
-
-    if failures.is_empty() {
-        println!(
-            "defense-report: all gates OK ({} served requests, {accepted} waves landed, \
-             {rejected_by_probe} rolled back, bit-identical at 1 and 8 threads)",
-            run.summary.requests
-        );
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("xtask defense-report: {f}");
-        }
-        eprintln!("xtask defense-report: {} failure(s)", failures.len());
-        ExitCode::FAILURE
-    }
+    )
+    .write("BENCH_defense.json", failures);
+    Ok(format!(
+        "defense-report: all gates OK ({} served requests, {accepted} waves landed, \
+         {rejected_by_probe} rolled back, bit-identical at 1 and 8 threads)",
+        run.summary.requests
+    ))
 }
 
 #[cfg(test)]
@@ -3173,15 +2989,45 @@ mod tests {
 
     #[test]
     fn lint_passes_on_current_tree() {
-        let root = workspace_root();
         let mut failures = Vec::new();
-        check_op_coverage(&root, &mut failures);
-        check_no_unwrap(&root, &mut failures);
-        check_no_probe_panics(&root, &mut failures);
-        check_no_raw_threads(&root, &mut failures);
-        check_no_nan_sort(&root, &mut failures);
-        check_pool_call_discipline(&root, &mut failures);
+        lint(&mut failures).expect("the lint never stops early");
         assert!(failures.is_empty(), "{failures:#?}");
+    }
+
+    #[test]
+    fn bit_identity_names_the_cell_and_word_that_diverge() {
+        let cells = [1, 2, 4, 8].map(|threads| Cell {
+            sched: Some(7),
+            threads,
+        });
+        let base = vec![1, 2, 3, 4];
+        let mut failures = Vec::new();
+        let digest = bit_identity("probe", &cells, &mut failures, |i| match i {
+            1 => Ok(vec![1, 2, 9, 4]),
+            2 => Err("no result".into()),
+            _ => Ok(base.clone()),
+        });
+        assert_eq!(digest, Some(fnv(&base)));
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(
+            failures[0].contains("cell 1 (PACE_THREADS=2 PACE_SCHED=7)")
+                && failures[0].contains("at word 2 "),
+            "{failures:?}"
+        );
+        assert!(
+            failures[1].contains("cell 2 (PACE_THREADS=4 PACE_SCHED=7) failed: no result"),
+            "{failures:?}"
+        );
+
+        // A failing baseline stops the run.
+        let mut calls = 0;
+        let mut failures = Vec::new();
+        let digest = bit_identity("probe", &cells, &mut failures, |_| {
+            calls += 1;
+            Err("no data".into())
+        });
+        assert_eq!((digest, calls), (None, 1));
+        assert!(failures[0].contains("baseline"), "{failures:?}");
     }
 
     #[test]
